@@ -3,17 +3,32 @@
 Cells are ``(row, col)`` pairs with row 1 at the bottom and column 1 at the
 left.  Every value is immutable and hashable; operations return new objects,
 so results can be cached and shared freely.
+
+A ``Diagram`` is its sorted row-major ``cells`` tuple, which alone defines
+equality, order and hashing, plus a packed copy the algorithms work on:
+``rows[r - 1]`` is the bitmask of row r, bit ``c - 1`` standing for column c,
+and ``cols`` holds the column masks the same way.  Moves, pairings and the
+closure search are bit operations on these masks.  The public constructor and
+``from_json`` sort and validate every cell; the library's own moves build
+results through the trusted constructor ``Diagram._trusted``, which skips
+that work because its input is canonical by construction.  Trusted
+construction is internal only: all input from outside goes through the
+validating paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from bisect import insort
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable
 
 Cell = tuple[int, int]
 Composition = tuple[int, ...]
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class TheoremViolation(Exception):
@@ -39,54 +54,106 @@ def flatten(a: Composition) -> Composition:
     return tuple(p for p in a if p > 0)
 
 
-@dataclass(frozen=True, order=True)
+def bits(mask: int) -> list[int]:
+    """The 1-based positions of the set bits of ``mask``, lowest first."""
+    return [p for p in range(1, mask.bit_length() + 1) if mask >> (p - 1) & 1]
+
+
+def _masks(cells: tuple[Cell, ...]) -> tuple[int, ...]:
+    """Row masks of sorted cells: entry r - 1 has bit c - 1 set per cell
+    (r, c), up to the highest row that has a cell."""
+    rows = [0] * (cells[-1][0] if cells else 0)
+    for r, c in cells:
+        rows[r - 1] |= 1 << (c - 1)
+    return tuple(rows)
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Diagram:
-    """A finite set of cells, stored sorted row-major (bottom row first)."""
+    """A finite set of cells, stored sorted row-major (bottom row first).
+
+    ``rows`` packs the same cells as one column bitmask per row, with no
+    empty row above the highest cell.
+    """
 
     cells: tuple[Cell, ...] = ()
+    rows: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _cols: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = tuple(sorted({(int(r), int(c)) for r, c in self.cells}))
         if cells and min(min(r, c) for r, c in cells) < 1:
             raise ValueError("cells must have row >= 1 and col >= 1")
-        object.__setattr__(self, "cells", cells)
+        _set(self, "cells", cells)
+        _set(self, "rows", _masks(cells))
 
-    @cached_property
-    def cell_set(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
+    @classmethod
+    def _trusted(cls, cells: tuple[Cell, ...], rows: tuple[int, ...]) -> "Diagram":
+        """Skip validation: ``cells`` must be distinct, positive and sorted,
+        and ``rows`` their masks (see ``_masks``)."""
+        d = _new(cls)
+        _set(d, "cells", cells)
+        _set(d, "rows", rows)
+        _set(d, "_cols", None)
+        return d
 
-    @cached_property
+    @property
+    def cols(self) -> tuple[int, ...]:
+        """Column masks: entry c - 1 has bit r - 1 set per cell (r, c)."""
+        cols = self._cols
+        if cols is None:
+            width = max((mask.bit_length() for mask in self.rows), default=0)
+            cols = [0] * width
+            for r, c in self.cells:
+                cols[c - 1] |= 1 << (r - 1)
+            cols = tuple(cols)
+            _set(self, "_cols", cols)
+        return cols
+
+    @property
     def max_row(self) -> int:
-        return max((r for r, _ in self.cells), default=0)
+        return len(self.rows)
 
-    @cached_property
+    @property
     def max_col(self) -> int:
-        return max((c for _, c in self.cells), default=0)
+        return len(self.cols)
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cell_set
+        r, c = cell
+        return 1 <= r <= len(self.rows) and c >= 1 and bool(self.rows[r - 1] >> (c - 1) & 1)
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def row(self, r: int) -> tuple[Cell, ...]:
         """Cells in row ``r``, left to right."""
-        return tuple(cell for cell in self.cells if cell[0] == r)
+        return tuple((r, c) for c in bits(self.rows[r - 1])) if 1 <= r <= len(self.rows) else ()
 
     def column(self, c: int) -> tuple[Cell, ...]:
         """Cells in column ``c``, bottom to top."""
-        return tuple(cell for cell in self.cells if cell[1] == c)
+        cols = self.cols
+        return tuple((r, c) for r in bits(cols[c - 1])) if 1 <= c <= len(cols) else ()
 
     def occupied_rows(self) -> tuple[int, ...]:
-        return tuple(sorted({r for r, _ in self.cells}))
+        return tuple(r for r, mask in enumerate(self.rows, 1) if mask)
 
     def move(self, src: Cell, dst: Cell) -> "Diagram":
         """Return a copy with the cell at ``src`` relocated to ``dst``."""
-        if src not in self.cell_set:
+        if src not in self:
             raise ValueError(f"no cell at {src}")
-        if dst in self.cell_set:
+        if dst in self:
             raise ValueError(f"cell already at {dst}")
-        return Diagram(tuple(dst if cell == src else cell for cell in self.cells))
+        if min(dst) < 1:
+            raise ValueError("cells must have row >= 1 and col >= 1")
+        cells = list(self.cells)
+        cells.remove(src)
+        insort(cells, dst)
+        rows = list(self.rows) + [0] * (dst[0] - len(self.rows))
+        rows[src[0] - 1] ^= 1 << (src[1] - 1)
+        rows[dst[0] - 1] |= 1 << (dst[1] - 1)
+        while not rows[-1]:
+            rows.pop()
+        return Diagram._trusted(tuple(cells), tuple(rows))
 
     def to_json(self) -> list[list[int]]:
         return [[r, c] for r, c in self.cells]
@@ -94,10 +161,10 @@ class Diagram:
     @classmethod
     def from_json(cls, data: object) -> "Diagram":
         if not isinstance(data, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
             for p in data
         ):
-            raise ValueError("diagram JSON must be a list of [row, col] pairs")
+            raise ValueError("diagram JSON must be a list of [row, col] integer pairs")
         return cls(tuple((r, c) for r, c in data))
 
     def ascii(self) -> str:
@@ -120,10 +187,7 @@ def grid_ascii(marks: dict[Cell, str]) -> str:
 
 def weight(d: Diagram) -> Composition:
     """Cells per row, from row 1 up to the highest nonempty row."""
-    counts = [0] * d.max_row
-    for r, _ in d.cells:
-        counts[r - 1] += 1
-    return tuple(counts)
+    return tuple(mask.bit_count() for mask in d.rows)
 
 
 def padded_weight(d: Diagram, n: int) -> Composition:
@@ -156,14 +220,13 @@ def kohnert_move(d: Diagram, row: int) -> Diagram | None:
     """
     if row < 1:
         raise ValueError("row must be positive")
-    row_cells = d.row(row)
-    if not row_cells:
+    rows = d.rows
+    if row > len(rows) or not rows[row - 1]:
         return None
-    src = row_cells[-1]
-    c = src[1]
+    c = rows[row - 1].bit_length()
     for r in range(row - 1, 0, -1):
-        if (r, c) not in d.cell_set:
-            return d.move(src, (r, c))
+        if (r, c) not in d:
+            return d.move((row, c), (r, c))
     return None
 
 
@@ -171,16 +234,44 @@ def kohnert_move(d: Diagram, row: int) -> Diagram | None:
 def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
     """All diagrams reachable from ``d`` by Kohnert moves, including ``d``.
 
-    Breadth-first search with a visited set; the result is sorted so that
-    iteration order (and anything serialized from it) is deterministic.
+    Breadth-first search with a visited set over packed states: row r sits
+    in bits ``(r - 1) * w`` onward of one int, ``w`` being the width of
+    ``d``, so a move is two bit flips.  Only the results become Diagrams,
+    sorted so that iteration order (and anything serialized from it) is
+    deterministic.
     """
-    seen = {d}
-    frontier = deque([d])
-    while frontier:
-        cur = frontier.popleft()
-        for row in cur.occupied_rows():
-            nxt = kohnert_move(cur, row)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen))
+    w = d.max_col
+    height = d.max_row
+    if not w:
+        return (d,)
+    full = (1 << w) - 1
+    column = sum(1 << (r * w) for r in range(height))  # bit 0 of every row
+    start = sum(mask << (r * w) for r, mask in enumerate(d.rows))
+    seen = {start}
+    frontier = [start]
+    for state in frontier:  # grows while it is read: a FIFO queue
+        for r in range(1, height):
+            shift = r * w
+            row = state >> shift & full
+            if not row:
+                continue
+            c = row.bit_length() - 1
+            # open cells of column c below row r; the highest one receives the cell
+            free = ~state & (column << c) & ((1 << shift) - 1)
+            if free:
+                nxt = state ^ (1 << (shift + c)) | (1 << (free.bit_length() - 1))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    cell_at = [(p // w + 1, p % w + 1) for p in range(height * w)]  # bit p -> its cell
+    out = []
+    for state in frontier:
+        cells = []
+        rest = state
+        while rest:  # lowest bit first, which is row-major order
+            low = rest & -rest
+            cells.append(cell_at[low.bit_length() - 1])
+            rest ^= low
+        rows = [state >> (r * w) & full for r in range(cells[-1][0])]
+        out.append(Diagram._trusted(tuple(cells), tuple(rows)))
+    return tuple(sorted(out, key=attrgetter("cells")))

@@ -8,9 +8,9 @@ extra same-label stop condition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .core import Cell, Composition, Diagram, TheoremViolation, padded_weight
 from .poly import SparsePolynomial
@@ -39,88 +39,77 @@ class VerticalPairing:
 
 
 def match_lines(
-    prev_cells: tuple[Cell, ...],
-    next_cells: tuple[Cell, ...],
-    pos: Callable[[Cell], int],
-) -> tuple[dict[Cell, Cell], list[Cell], list[Cell]]:
+    prev: int, nxt: int, scan: range
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Shared matching routine for vertical and horizontal pairings.
 
-    ``prev`` is the line matched against (row i / column i) and ``next`` the
-    line whose boxes seek partners (row i+1 / column i+1).  ``pos`` maps a
-    cell to its ordering coordinate: column for row pairing, negated row for
-    column pairing, so that "earlier" means left of / above the seeker.
-    Same-position boxes pair first; then each unpaired next-line box pairs
-    with the nearest earlier unpaired prev-line box whenever every box
-    strictly between them is already paired, iterated to a fixpoint.
+    ``prev`` is the line matched against (row i / column i) and ``nxt`` the
+    line whose boxes seek partners (row i+1 / column i+1), both bitmasks
+    over the same positions; ``scan`` lists the bit positions in reading
+    order, "earlier" meaning left of / above.  Same-position boxes pair
+    first; then each unpaired ``nxt`` box pairs with the nearest earlier
+    unpaired ``prev`` box whenever every box strictly between them is
+    already paired.  That is bracket matching, done in one stack scan:
+    ``prev`` boxes open, ``nxt`` boxes close.
 
-    Returns the pairing as a dict (prev cell -> next cell) plus the leftover
-    cells of each line sorted by ``pos``.
+    Returns the (prev, nxt) position pairs and the leftover positions of
+    each line, all in scan order.
     """
-    prev_at = {pos(cell): cell for cell in prev_cells}
-    next_at = {pos(cell): cell for cell in next_cells}
-    paired_prev: dict[Cell, Cell] = {}
-    paired_next: set[Cell] = set()
-    for p, seeker in next_at.items():
-        if p in prev_at:
-            paired_prev[prev_at[p]] = seeker
-            paired_next.add(seeker)
+    pairs = []
+    stack = []
+    unpaired = []
+    for p in scan:
+        if prev >> p & 1:
+            if nxt >> p & 1:
+                pairs.append((p, p))
+            else:
+                stack.append(p)
+        elif nxt >> p & 1:
+            if stack:
+                pairs.append((stack.pop(), p))
+            else:
+                unpaired.append(p)
+    return pairs, stack, unpaired
 
-    def all_between_paired(lo: int, hi: int) -> bool:
-        for p in range(lo + 1, hi):
-            if p in prev_at and prev_at[p] not in paired_prev:
-                return False
-            if p in next_at and next_at[p] not in paired_next:
-                return False
-        return True
 
-    changed = True
-    while changed:
-        changed = False
-        for p in sorted(next_at, reverse=True):
-            seeker = next_at[p]
-            if seeker in paired_next:
-                continue
-            free = [q for q, cell in prev_at.items() if q < p and cell not in paired_prev]
-            if not free:
-                continue
-            q = max(free)
-            if all_between_paired(q, p):
-                paired_prev[prev_at[q]] = seeker
-                paired_next.add(seeker)
-                changed = True
-    unpaired_prev = [prev_at[q] for q in sorted(prev_at) if prev_at[q] not in paired_prev]
-    unpaired_next = [next_at[q] for q in sorted(next_at) if next_at[q] not in paired_next]
-    return paired_prev, unpaired_prev, unpaired_next
+def _row_pairing(d: Diagram, i: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """match_lines on rows i and i+1; bit position p stands for column p + 1."""
+    if i < 1:
+        raise ValueError("row index must be positive")
+    rows = d.rows
+    lower = rows[i - 1] if i <= len(rows) else 0
+    upper = rows[i] if i < len(rows) else 0
+    return match_lines(lower, upper, range((lower | upper).bit_length()))
 
 
 def vertical_pairing(d: Diagram, i: int) -> VerticalPairing:
     """Pair the boxes of rows i and i+1: same column first, then each
     unpaired upper box with the rightmost unpaired lower box to its left
     whenever everything between is already paired."""
-    if i < 1:
-        raise ValueError("row index must be positive")
-    paired, unpaired_lower, unpaired_upper = match_lines(
-        d.row(i), d.row(i + 1), lambda cell: cell[1]
+    pairs, lower, upper = _row_pairing(d, i)
+    return VerticalPairing(
+        i,
+        tuple(sorted(((i, p + 1), (i + 1, q + 1)) for p, q in pairs)),
+        tuple((i, p + 1) for p in lower),
+        tuple((i + 1, q + 1) for q in upper),
     )
-    pairs = tuple(sorted(paired.items()))
-    return VerticalPairing(i, pairs, tuple(unpaired_lower), tuple(unpaired_upper))
 
 
 def raise_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the rightmost vertically unpaired box of row i+1 down to row i."""
-    vp = vertical_pairing(d, i)
-    if not vp.unpaired_upper:
+    _, _, upper = _row_pairing(d, i)
+    if not upper:
         return None
-    _, c = vp.unpaired_upper[-1]
+    c = upper[-1] + 1
     return d.move((i + 1, c), (i, c))
 
 
 def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the leftmost vertically unpaired box of row i up to row i+1."""
-    vp = vertical_pairing(d, i)
-    if not vp.unpaired_lower:
+    _, lower, _ = _row_pairing(d, i)
+    if not lower:
         return None
-    _, c = vp.unpaired_lower[0]
+    c = lower[0] + 1
     return d.move((i, c), (i + 1, c))
 
 
@@ -143,16 +132,21 @@ def raise_lkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | Non
     label, in which case the operator returns None even though the
     underlying diagram could still be raised.
     """
-    vp = vertical_pairing(t.diagram, i)
-    if not vp.unpaired_upper:
+    _, _, upper = _row_pairing(t.diagram, i)
+    if not upper:
         return None
-    box = vp.unpaired_upper[-1]
-    label = t.label_at(box)
-    r, c = box
-    if any(cc > c and t.label_at((r, cc)) == label for _, cc in t.diagram.row(r)):
-        return None
-    entries = tuple(((i, c) if cell == box else cell, l) for cell, l in t.entries)
-    t2 = LabeledDiagram(entries)
+    c = upper[-1] + 1
+    entries = t.entries
+    k = bisect_left(entries, ((i + 1, c),))
+    label = entries[k][1]
+    for (r, _), l in entries[k + 1:]:
+        if r > i + 1:
+            break
+        if l == label:
+            return None
+    rest = entries[:k] + entries[k + 1:]
+    j = bisect_left(rest, ((i, c),))
+    t2 = LabeledDiagram._trusted(rest[:j] + (((i, c), label),) + rest[j:])
     if not validate_lkt(t2, a):
         raise TheoremViolation(
             f"lock raising of {t.entries} by color {i} produced an invalid tableau"

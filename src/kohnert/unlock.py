@@ -41,11 +41,19 @@ def horizontal_pairing(d: Diagram, i: int) -> HorizontalPairing:
     everything between is already paired."""
     if i < 1:
         raise ValueError("column index must be positive")
-    paired, unpaired_left, unpaired_right = match_lines(
-        d.column(i), d.column(i + 1), lambda cell: -cell[0]
+    cols = d.cols
+    left = cols[i - 1] if i <= len(cols) else 0
+    right = cols[i] if i < len(cols) else 0
+    # bit position p stands for row p + 1; read top to bottom
+    pairs, unpaired_left, unpaired_right = match_lines(
+        left, right, range((left | right).bit_length() - 1, -1, -1)
     )
-    pairs = tuple(sorted(paired.items()))
-    return HorizontalPairing(i, pairs, tuple(unpaired_left), tuple(unpaired_right))
+    return HorizontalPairing(
+        i,
+        tuple(sorted(((p + 1, i), (q + 1, i + 1)) for p, q in pairs)),
+        tuple((p + 1, i) for p in unpaired_left),
+        tuple((q + 1, i + 1) for q in unpaired_right),
+    )
 
 
 def m_statistic(d: Diagram, i: int, r: int) -> int:
@@ -57,9 +65,25 @@ def m_statistic(d: Diagram, i: int, r: int) -> int:
     return right - left
 
 
+def _surplus_peak(d: Diagram, i: int) -> tuple[int, int]:
+    """The maximum of ``m_statistic(d, i, r)`` over all rows r (at least 0),
+    and the largest row attaining it when positive, in one top-down pass
+    that keeps the running column counts."""
+    if i < 1:
+        raise ValueError("indices must be positive")
+    best = row = surplus = 0
+    rows = d.rows
+    for r in range(len(rows), 0, -1):
+        pair = rows[r - 1] >> (i - 1) & 3  # bit 0: column i, bit 1: column i+1
+        surplus += (pair >> 1) - (pair & 1)
+        if surplus > best:
+            best, row = surplus, r
+    return best, row
+
+
 def m_max(d: Diagram, i: int) -> int:
     """Maximum of the column surplus over all rows; at least 0."""
-    return max(m_statistic(d, i, r) for r in range(1, d.max_row + 2))
+    return _surplus_peak(d, i)[0]
 
 
 def rectify_move(d: Diagram, i: int) -> tuple[Cell, Cell] | None:
@@ -68,10 +92,9 @@ def rectify_move(d: Diagram, i: int) -> tuple[Cell, Cell] | None:
     The box at the largest row where the column surplus attains its
     positive maximum moves from column i+1 to column i.
     """
-    best = m_max(d, i)
+    best, r = _surplus_peak(d, i)
     if best <= 0:
         return None
-    r = max(row for row in range(1, d.max_row + 2) if m_statistic(d, i, row) == best)
     return (r, i + 1), (r, i)
 
 
@@ -143,7 +166,7 @@ def left_justified(t: LabeledDiagram, cell: Cell, label: int | None = None) -> b
     """Whether every column left of ``cell`` holds a box of its string."""
     if label is None:
         label = t.label_at(cell)
-    cols = {c for _, c in t.strings.get(label, ())}
+    cols = {c for (_, c), l in t.entries if l == label}
     return all(c in cols for c in range(1, cell[1]))
 
 
@@ -250,7 +273,7 @@ def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | 
                 )
             entries[dst] = entries.pop(src)
             step = UnlockStep(i, chosen, tuple(swaps), (src, dst))
-            return LabeledDiagram(tuple(entries.items())), step
+            return LabeledDiagram._trusted(tuple(sorted(entries.items()))), step
         _, other_label, below = max(crossings)
         x_cell, y_cell = (row, col), below
         entries[x_cell], entries[y_cell] = other_label, label

@@ -53,6 +53,14 @@ class SweepRange:
     max_part: int
     max_size: int | None = None
 
+    def __post_init__(self) -> None:
+        # a negative bound leaves nothing to sweep, and an empty sweep must not pass
+        if self.max_length < 0 or self.max_part < 0:
+            raise ValueError(
+                f"sweep bounds must be nonnegative, got max length {self.max_length} "
+                f"and max part {self.max_part}"
+            )
+
     def compositions(self) -> Iterator[Composition]:
         for length in range(self.max_length + 1):
             for parts in itertools.product(range(self.max_part + 1), repeat=length):

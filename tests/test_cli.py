@@ -114,6 +114,15 @@ def test_map_input_not_a_lock_tableau(tmp_path, capsys):
     assert "lock Kohnert tableau" in err
 
 
+def test_map_input_rejects_json_booleans(tmp_path, capsys):
+    src = tmp_path / "t.json"
+    src.write_text("[[1, 1, true]]")
+    code, out, err = run_cli(capsys, "map", "--comp", "1", "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert "integers" in err
+
+
 def test_map_malformed_json_reports_position(tmp_path, capsys):
     src = tmp_path / "t.json"
     src.write_text("[[1, 1, ]]")
@@ -136,6 +145,14 @@ def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-len", "2", "--max-part", "2")
     assert code == 0
     assert out.count("pass") == 5
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--max-part"])
+def test_verify_rejects_negative_bounds(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "--check", "positivity", flag, "-1")
+    assert code == 2
+    assert "pass" not in out
+    assert "nonnegative" in err
 
 
 def test_internal_fault_exit_code(monkeypatch, capsys):

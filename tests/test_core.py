@@ -146,6 +146,8 @@ def test_diagram_canonical_order_and_json():
     assert Diagram.from_json(d.to_json()) == d
     with pytest.raises(ValueError):
         Diagram.from_json([[1]])
+    with pytest.raises(ValueError):
+        Diagram.from_json([[1, True]])
 
 
 def test_ascii_marks_rows_top_first():
