@@ -128,7 +128,7 @@ def _cmd_crystal(args) -> int:
     return 0
 
 
-def _read_tableau(path: str) -> LabeledDiagram:
+def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
     with open(path) as fh:
         text = fh.read()
     try:
@@ -137,6 +137,16 @@ def _read_tableau(path: str) -> LabeledDiagram:
         raise ValueError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    # a lock tableau of content a lies in rows 1..len(a) and columns 1..max(a);
+    # checked first because building a diagram allocates by its coordinates
+    n, m = len(a), max(a, default=0)
+    for p in data if isinstance(data, list) else ():
+        if isinstance(p, list) and len(p) == 3 and all(type(x) is int for x in p):
+            if not (1 <= p[0] <= n and 1 <= p[1] <= m):
+                raise ValueError(
+                    f"cell ({p[0]}, {p[1]}) lies outside rows 1..{n} and columns 1..{m}, "
+                    f"so no lock Kohnert tableau of content {a} has it"
+                )
     return LabeledDiagram.from_json(data)
 
 
@@ -144,7 +154,7 @@ def _cmd_map(args) -> int:
     if args.all:
         sources = enumerate_lkt(args.comp)
     elif args.input:
-        t = _read_tableau(args.input)
+        t = _read_tableau(args.input, args.comp)
         if not validate_lkt(t, args.comp):
             raise ValueError(f"input is not a lock Kohnert tableau of content {args.comp}")
         sources = (t,)
@@ -191,6 +201,9 @@ def _cmd_verify(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not isinstance(getattr(args, "comp", ()), tuple):
+        # argparse before Python 3.13 turns "--comp=--" into [] without parsing it
+        parser.error(f"argument --comp: invalid composition {args.comp!r}")
     handlers = {
         "enum": _cmd_enum,
         "poly": _cmd_poly,

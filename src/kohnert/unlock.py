@@ -145,6 +145,7 @@ def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
+@lru_cache(maxsize=1024)
 def build_schedule(alpha: Composition) -> Schedule:
     """Flat application-order schedule for a flattened composition."""
     return Schedule(tuple(idx for block in schedule_groups(alpha) for idx in block))
@@ -222,6 +223,84 @@ class UnlockTrace:
         return tuple(states[1:])
 
 
+class _UnlockState:
+    """One labeled diagram under unlock operators, updated in place.
+
+    ``row_in[c]`` maps each label with a box in column c to that box's row,
+    ``spans`` holds each label's column mask (bit c - 1 for column c), and
+    ``rows`` the diagram's row masks.  A label holds at most one box per
+    column: input breaking that is a ValueError, and a push that would
+    break it a TheoremViolation.
+    """
+
+    __slots__ = ("row_in", "spans", "rows")
+
+    def __init__(self, t: LabeledDiagram) -> None:
+        rows = t.diagram.rows
+        width = max((mask.bit_length() for mask in rows), default=0)
+        row_in: list[dict[int, int]] = [{} for _ in range(width + 1)]  # entry 0 unused
+        spans: dict[int, int] = {}
+        for (r, c), label in t.entries:
+            column = row_in[c]
+            if label in column:
+                raise ValueError(f"label {label} has two boxes in column {c}")
+            column[label] = r
+            spans[label] = spans.get(label, 0) | 1 << (c - 1)
+        self.row_in = row_in
+        self.spans = spans
+        self.rows = list(rows)
+
+    def tableau(self) -> LabeledDiagram:
+        return LabeledDiagram._trusted(tuple(sorted(
+            ((r, c), l) for c, column in enumerate(self.row_in) for l, r in column.items()
+        )))
+
+    def op(self, i: int) -> UnlockStep | None:
+        """Apply the unlock operator of index i (see ``unlock_op``) in place;
+        returns its step, or None when every box of column i+1 is left
+        justified."""
+        col = i + 1
+        if col >= len(self.row_in):
+            return None
+        right = self.row_in[col]
+        left = self.row_in[i]
+        spans = self.spans
+        justified = (1 << i) - 1  # columns 1..i
+        candidates = [(l, r) for l, r in right.items() if spans[l] & justified != justified]
+        if not candidates:
+            return None
+        label, row = min(candidates)
+        chosen = (row, col, label)
+        swaps: list[tuple[Cell, Cell, int, int]] = []
+        while True:
+            # strings crossing the moving box: a box in column i weakly above
+            # it and one in column i+1 strictly below it (the box's own label
+            # sits at ``row`` itself, so it never qualifies)
+            crossing = max(
+                ((anchor, l, r) for l, r in right.items()
+                 if r < row and (anchor := left.get(l, 0)) >= row),
+                default=None,
+            )
+            if crossing is None:
+                break
+            _, other, below = crossing
+            right[other], right[label] = row, below
+            swaps.append(((row, col), (below, col), label, other))
+            row = below
+        src, dst = (row, col), (row, i)
+        rows = self.rows
+        if rows[row - 1] >> (i - 1) & 1:
+            raise TheoremViolation(f"unlock stuck: cannot push {src} left past occupied {dst}")
+        if label in left:
+            raise TheoremViolation(f"unlock would give label {label} two boxes in column {i}")
+        del right[label]
+        left[label] = row
+        moved = 1 << (col - 1) | 1 << (i - 1)
+        spans[label] ^= moved
+        rows[row - 1] ^= moved
+        return UnlockStep(i, chosen, tuple(swaps), (src, dst))
+
+
 def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | None:
     """Left-justify one box from column i+1 into column i.
 
@@ -233,52 +312,16 @@ def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | 
     nothing it is pushed one column left.
 
     Returns None when every box of column i+1 is left justified.  Raises
-    TheoremViolation if the final push is blocked, which is impossible on
-    schedule-driven lock tableau inputs.
+    ValueError if a label of ``t`` has two boxes in one column, and
+    TheoremViolation if the final push is blocked or would give the label
+    a second box in column i, both impossible on schedule-driven lock
+    tableau inputs.
     """
     if i < 1:
         raise ValueError("column index must be positive")
-    col = i + 1
-    candidates = [
-        (label, r)
-        for (r, c), label in t.entries
-        if c == col and not left_justified(t, (r, c), label)
-    ]
-    if not candidates:
-        return None
-    label, row = min(candidates)
-    chosen = (row, col, label)
-
-    entries = dict(t.entries)
-    swaps: list[tuple[Cell, Cell, int, int]] = []
-    while True:
-        crossings = []
-        strings: dict[int, list[Cell]] = {}
-        for cell, l in entries.items():
-            strings.setdefault(l, []).append(cell)
-        for other_label, cells in strings.items():
-            if other_label == label:
-                continue
-            in_left = [cell for cell in cells if cell[1] == i and cell[0] >= row]
-            in_col = [cell for cell in cells if cell[1] == col and cell[0] < row]
-            if in_left and in_col:
-                anchor = max(r for r, _ in in_left)
-                below = max(in_col)  # the string's single box in this column
-                crossings.append((anchor, other_label, below))
-        if not crossings:
-            src, dst = (row, col), (row, i)
-            if dst in entries:
-                raise TheoremViolation(
-                    f"unlock stuck: cannot push {src} left past occupied {dst}"
-                )
-            entries[dst] = entries.pop(src)
-            step = UnlockStep(i, chosen, tuple(swaps), (src, dst))
-            return LabeledDiagram._trusted(tuple(sorted(entries.items()))), step
-        _, other_label, below = max(crossings)
-        x_cell, y_cell = (row, col), below
-        entries[x_cell], entries[y_cell] = other_label, label
-        swaps.append((x_cell, y_cell, label, other_label))
-        row = below[0]
+    state = _UnlockState(t)
+    step = state.op(i)
+    return None if step is None else (state.tableau(), step)
 
 
 def apply_rectification(d: Diagram, alpha: Composition) -> Diagram | None:
@@ -303,32 +346,33 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
         raise ValueError(f"input is not a lock Kohnert tableau of content {a}")
     sched = build_schedule(flatten(a))
     shadow = t.diagram
-    cur = t
+    state = _UnlockState(t)
     steps: list[UnlockStep] = []
     for pos, idx in enumerate(sched.column_indices):
-        res = unlock_op(cur, idx)
-        if res is None:
+        step = state.op(idx)
+        if step is None:
             raise TheoremViolation(
-                f"unlock step {pos} (index {idx}) found nothing to move on {cur.entries}"
+                f"unlock step {pos} (index {idx}) found nothing to move on "
+                f"{state.tableau().entries}"
             )
         rectified = rectify(shadow, idx)
         if rectified is None:
             raise TheoremViolation(
                 f"rectification step {pos} (index {idx}) vanished on {shadow.cells}"
             )
-        cur, step = res
         shadow = rectified
-        if cur.diagram != shadow:
+        if tuple(state.rows) != shadow.rows:
             raise TheoremViolation(
                 f"unlock and rectification disagree after step {pos} (index {idx}): "
-                f"{cur.diagram.cells} vs {shadow.cells}"
+                f"{state.tableau().diagram.cells} vs {shadow.cells}"
             )
         steps.append(step)
-    if not validate_kkt(cur, a):
-        raise TheoremViolation(f"unlock output {cur.entries} is not a key tableau of {a}")
-    if weight(cur.diagram) != weight(t.diagram):
+    out = state.tableau()
+    if not validate_kkt(out, a):
+        raise TheoremViolation(f"unlock output {out.entries} is not a key tableau of {a}")
+    if weight(out.diagram) != weight(t.diagram):
         raise TheoremViolation("unlock changed the weight")
-    return cur, UnlockTrace(sched, tuple(steps), t, cur)
+    return out, UnlockTrace(sched, tuple(steps), t, out)
 
 
 @lru_cache(maxsize=None)

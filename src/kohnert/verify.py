@@ -19,7 +19,6 @@ from .crystal import (
     lower_kkt,
     lower_lkt,
     raise_kkt,
-    raise_lkt,
 )
 from .poly import (
     classify_symmetry,
@@ -142,15 +141,21 @@ def check_positivity(
 def check_intertwining(
     rng: SweepRange = DEFAULT_RANGE, extra: Sequence[Composition] = SPOT_COMPOSITIONS
 ) -> VerificationReport:
-    """Unlock commutes with raising and lowering operators."""
+    """Unlock commutes with raising and lowering operators.
+
+    Lock raising is read from the edges of the lock crystal, which applies
+    ``raise_lkt`` to every lock tableau and color once per content.
+    """
 
     def fn(a: Composition) -> str | None:
         images = dict(unlock_map(a))
-        for t in enumerate_lkt(a):
+        lock = crystal_graph(a, "lock")
+        raised_to = {(v, color): u for u, v, color in lock.edges}
+        for k, t in enumerate(lock.vertices):
             for color in range(1, len(a)):
-                raised = raise_lkt(t, a, color)
-                if raised is not None:
-                    if images[raised] != raise_kkt(images[t], a, color):
+                u = raised_to.get((k, color))
+                if u is not None:
+                    if images[lock.vertices[u]] != raise_kkt(images[t], a, color):
                         return f"raising color {color} fails on {t.entries}"
                 lowered = lower_lkt(t, a, color)
                 if lowered is not None:
@@ -222,16 +227,27 @@ def check_agreement_and_truncation(
             return str(exc)
         labels = [i + 1 for i, p in enumerate(a) if p > 0]
         groups = schedule_groups(tuple(p for p in a if p > 0))
+        ends = list(itertools.accumulate(len(block) for block in groups[:-1]))
+        longest = [idx for block in groups[:-1] for idx in block]
         for t in enumerate_lkt(a):
+            # the untruncated diagram's moves along the longest prefix, up to
+            # the first None; every shorter prefix reads its start
+            moves = []
+            full = t.diagram
+            for idx in longest:
+                move = rectify_move(full, idx)
+                moves.append(move)
+                if move is None:
+                    break
+                full = full.move(*move)
             for p in range(1, len(labels)):
-                prefix = [idx for block in groups[:p] for idx in block]
                 for bound in labels:
                     if bound <= labels[p - 1]:
                         continue
-                    full = t.diagram
                     small = truncate_below(t, bound).diagram
-                    for s, idx in enumerate(prefix):
-                        move_full = rectify_move(full, idx)
+                    for s in range(ends[p - 1]):
+                        idx = longest[s]
+                        move_full = moves[s]
                         move_small = rectify_move(small, idx)
                         if move_full != move_small:
                             return (
@@ -244,7 +260,6 @@ def check_agreement_and_truncation(
                                 f"rectification vanished at prefix step {s} "
                                 f"(index {idx}) on {t.entries}"
                             )
-                        full = full.move(*move_full)
                         small = small.move(*move_small)
         return None
 

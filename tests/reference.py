@@ -4,7 +4,8 @@ These are the straightforward formulations the packed-row kernel replaced:
 a breadth-first closure that rescans rows of cell sets, fixpoint pairing,
 the column-surplus statistic evaluated at every row, a key labeling search
 over all k! arrangements of each column, the closed-form lock labeling,
-and condition-by-condition tableau validation.  They work on plain cell
+condition-by-condition tableau validation, and the unlock operator that
+rebuilds every string from a cell-to-label dict on each swap.  They work on plain cell
 tuples and share no code with ``kohnert`` beyond reading ``Diagram.cells``
 and ``LabeledDiagram.entries``, so the differential tests can hold the
 kernel to them.
@@ -241,3 +242,70 @@ def validate_lkt(entries, a):
         if any(labels[k] >= labels[k + 1] for k in range(len(labels) - 1)):
             return False
     return True
+
+
+def _left_justified(entries, label, col):
+    cols = {c for (_, c), l in entries.items() if l == label}
+    return all(c in cols for c in range(1, col))
+
+
+def unlock_op(entries, i):
+    """One unlock operator on a {cell: label} dict, updated in place.
+
+    Returns the step as (op, chosen, swaps, push), the shape of
+    ``UnlockStep.to_json``, or None when every box of column i+1 is left
+    justified.
+    """
+    col = i + 1
+    candidates = [
+        (label, r)
+        for (r, c), label in entries.items()
+        if c == col and not _left_justified(entries, label, col)
+    ]
+    if not candidates:
+        return None
+    label, row = min(candidates)
+    chosen = [row, col, label]
+    swaps = []
+    while True:
+        crossings = []
+        for other_label, cells in _strings(entries.items()).items():
+            if other_label == label:
+                continue
+            in_left = [cell for cell in cells if cell[1] == i and cell[0] >= row]
+            in_col = [cell for cell in cells if cell[1] == col and cell[0] < row]
+            if in_left and in_col:
+                anchor = max(r for r, _ in in_left)
+                crossings.append((anchor, other_label, max(in_col)))
+        if not crossings:
+            src, dst = (row, col), (row, i)
+            assert dst not in entries, f"unlock stuck at {src}"
+            entries[dst] = entries.pop(src)
+            return {"op": i, "chosen": chosen, "swaps": swaps, "push": [list(src), list(dst)]}
+        _, other_label, below = max(crossings)
+        x_cell = (row, col)
+        entries[x_cell], entries[below] = other_label, label
+        swaps.append([list(x_cell), list(below), label, other_label])
+        row = below[0]
+
+
+def unlock_trace(entries, a):
+    """``UnlockTrace.to_json`` of the full unlock run on a lock tableau of
+    content ``a``, its schedule rebuilt from the flattened content."""
+    alpha = [p for p in a if p > 0]
+    m = max(alpha, default=0)
+    schedule = [
+        idx for part in alpha for k in range(1, part + 1) for idx in range(m - part + k - 1, k - 1, -1)
+    ]
+    state = dict(entries)
+    steps = []
+    for idx in schedule:
+        step = unlock_op(state, idx)
+        assert step is not None, f"unlock step {idx} found nothing to move"
+        steps.append(step)
+    return {
+        "schedule": schedule,
+        "steps": steps,
+        "input": [[r, c, l] for (r, c), l in entries],
+        "output": [[r, c, l] for (r, c), l in sorted(state.items())],
+    }

@@ -123,6 +123,16 @@ def test_map_input_rejects_json_booleans(tmp_path, capsys):
     assert "integers" in err
 
 
+@pytest.mark.parametrize("cell", [[10**12, 1, 1], [1, 10**12, 1]])
+def test_map_input_rejects_cells_outside_the_content(tmp_path, capsys, cell):
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps([cell]))
+    code, out, err = run_cli(capsys, "map", "--comp", "1", "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert "outside rows 1..1 and columns 1..1" in err
+
+
 def test_map_malformed_json_reports_position(tmp_path, capsys):
     src = tmp_path / "t.json"
     src.write_text("[[1, 1, ]]")
@@ -181,6 +191,13 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_bare_double_dash_composition_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enum", "--kind", "kkt", "--comp=--"])
+    assert exc.value.code == 2
+    assert "invalid composition" in capsys.readouterr().err
 
 
 def test_stdout_byte_stable_across_processes():

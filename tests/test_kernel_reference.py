@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kohnert import (
+    SPOT_COMPOSITIONS,
     Diagram,
     LabeledDiagram,
+    apply_unlock,
     enumerate_kkt,
     enumerate_lkt,
     horizontal_pairing,
@@ -156,3 +158,13 @@ def test_trusted_labeled_diagram_is_the_validated_one(labels, other_labels):
         assert trusted.diagram == checked.diagram
         assert (trusted < other) == (checked < other) and (other < trusted) == (other < checked)
         assert sorted([other, trusted]) == sorted([checked, other])
+
+
+def test_unlock_traces_match_dict_reference():
+    runs = 0
+    for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS)):
+        for t in enumerate_lkt(a):
+            _, trace = apply_unlock(t, a)
+            assert trace.to_json() == reference.unlock_trace(t.entries, a), (a, t.entries)
+            runs += 1
+    assert runs == 5820

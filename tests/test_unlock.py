@@ -302,6 +302,15 @@ def test_unlock_stuck_fault_is_loud():
         unlock_op(t, 1)
 
 
+def test_unlock_op_keeps_one_box_per_label_and_column():
+    # a label with two boxes in one column is not input the operator accepts
+    with pytest.raises(ValueError):
+        unlock_op(tableau((1, 2, 2), (2, 2, 2)), 1)
+    # the 2 at (1,3) is not left justified, but column 2 already holds a 2
+    with pytest.raises(TheoremViolation):
+        unlock_op(tableau((2, 2, 2), (1, 3, 2)), 2)
+
+
 def test_schedule_type_is_plain_data():
     s = build_schedule((1, 3, 3, 2))
     assert isinstance(s, Schedule)

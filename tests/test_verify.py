@@ -75,3 +75,31 @@ def test_report_pass_iff_no_failures():
     good = VerificationReport("x", 1, (), 0.0)
     bad = VerificationReport("x", 1, (((1,), "w"),), 0.0)
     assert good.passed and not bad.passed
+
+
+def test_intertwining_catches_swapped_images(monkeypatch):
+    import kohnert.verify as verify
+
+    original = verify.unlock_map
+
+    def swapped(a):
+        pairs = list(original(a))
+        if a == (1, 0, 2, 1):
+            (s0, i0), (s1, i1) = pairs[:2]
+            pairs[:2] = [(s0, i1), (s1, i0)]
+        return tuple(pairs)
+
+    monkeypatch.setattr(verify, "unlock_map", swapped)
+    report = check_intertwining(SweepRange(0, 0), ((1, 0, 2, 1),))
+    assert [a for a, _ in report.failures] == [(1, 0, 2, 1)]
+    assert report.failures[0][1].startswith("lowering color 2 fails on ")
+
+
+def test_agreement_catches_wrong_truncation(monkeypatch):
+    import kohnert.verify as verify
+
+    truncate_below = verify.truncate_below
+    monkeypatch.setattr(verify, "truncate_below", lambda t, bound: truncate_below(t, bound - 1))
+    report = check_agreement_and_truncation(SweepRange(0, 0), ((0, 2, 3),))
+    assert [a for a, _ in report.failures] == [(0, 2, 3)]
+    assert report.failures[0][1].startswith("truncation below 3 changes step 0 ")
