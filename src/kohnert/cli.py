@@ -14,20 +14,19 @@ from typing import Sequence
 
 from .core import TheoremViolation, key_diagram, kohnert_closure
 from .crystal import crystal_graph
-from .poly import key_polynomial, lock_polynomial, render_text
-from .tableaux import (
-    LabeledDiagram,
-    enumerate_kkt,
-    enumerate_lkt,
-    lock_source_tableau,
-    validate_lkt,
-)
+from .poly import polynomial, render_text
+from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau, validate_lkt
 from .unlock import apply_unlock
 from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
 
+#: The most cells a composition may have.  Key labeling recurses once per
+#: cell, within CPython's default limit of 1,000 frames less its callers'.
+MAX_CELLS = 512
+
 
 def parse_composition(text: str) -> tuple[int, ...]:
-    """Parse '1,0,2,1' (trailing zeros significant; empty string allowed)."""
+    """Parse '1,0,2,1' (trailing zeros significant; empty string allowed);
+    at most MAX_CELLS cells."""
     text = text.strip()
     if not text:
         return ()
@@ -37,6 +36,10 @@ def parse_composition(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid composition {text!r}") from exc
     if any(p < 0 for p in parts):
         raise argparse.ArgumentTypeError("composition parts must be nonnegative")
+    if sum(parts) > MAX_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"composition size {sum(parts)} exceeds the limit of {MAX_CELLS} cells"
+        )
     return parts
 
 
@@ -83,33 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_tableaux(items, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps([t.to_json() for t in items]))
-    else:
-        for t in items:
-            print(t.ascii())
-            print()
-
-
 def _cmd_enum(args) -> int:
-    if args.kind == "kkt":
-        _print_tableaux(enumerate_kkt(args.comp), args.format)
-    elif args.kind == "lkt":
-        _print_tableaux(enumerate_lkt(args.comp), args.format)
+    if args.kind == "kd":
+        items = kohnert_closure(key_diagram(args.comp))
     else:
-        diagrams = kohnert_closure(key_diagram(args.comp))
-        if args.format == "json":
-            print(json.dumps([d.to_json() for d in diagrams]))
-        else:
-            for d in diagrams:
-                print(d.ascii())
-                print()
+        items = enumerate_tableaux(args.comp, {"kkt": "key", "lkt": "lock"}[args.kind])
+    if args.format == "json":
+        print(json.dumps([item.to_json() for item in items]))
+    else:
+        for item in items:
+            print(item.ascii())
+            print()
     return 0
 
 
 def _cmd_poly(args) -> int:
-    p = key_polynomial(args.comp) if args.kind == "key" else lock_polynomial(args.comp)
+    p = polynomial(args.comp, args.kind)
     print(json.dumps(p.to_json()) if args.format == "json" else render_text(p))
     return 0
 
@@ -152,7 +144,7 @@ def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
 
 def _cmd_map(args) -> int:
     if args.all:
-        sources = enumerate_lkt(args.comp)
+        sources = enumerate_tableaux(args.comp, "lock")
     elif args.input:
         t = _read_tableau(args.input, args.comp)
         if not validate_lkt(t, args.comp):
@@ -184,6 +176,11 @@ def _cmd_map(args) -> int:
 def _cmd_verify(args) -> int:
     names = list(ALL_CHECKS) if args.check == "all" else [args.check]
     rng = SweepRange(max_length=args.max_len, max_part=args.max_part)
+    if rng.max_length * rng.max_part > MAX_CELLS:
+        raise ValueError(
+            f"sweep size {rng.max_length * rng.max_part} (max-len * max-part) "
+            f"exceeds the limit of {MAX_CELLS} cells"
+        )
     reports = run_checks(names, rng, SPOT_COMPOSITIONS)
     width = max(len(r.check) for r in reports)
     failed = False

@@ -134,9 +134,6 @@ class Diagram:
         cols = self.cols
         return tuple((r, c) for r in bits(cols[c - 1])) if 1 <= c <= len(cols) else ()
 
-    def occupied_rows(self) -> tuple[int, ...]:
-        return tuple(r for r, mask in enumerate(self.rows, 1) if mask)
-
     def move(self, src: Cell, dst: Cell) -> "Diagram":
         """Return a copy with the cell at ``src`` relocated to ``dst``."""
         if src not in self:

@@ -12,12 +12,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Cell, Composition, Diagram, TheoremViolation, padded_weight
-from .poly import SparsePolynomial
+from .core import Cell, Composition, Diagram, TheoremViolation
 from .tableaux import (
     LabeledDiagram,
-    enumerate_kkt,
-    enumerate_lkt,
+    enumerate_tableaux,
+    is_lock,
     label_key,
     label_lock,
     validate_lkt,
@@ -154,26 +153,26 @@ def raise_lkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | Non
     return t2
 
 
-def lower_kkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | None:
-    """Partial inverse of raise_kkt: the unique tableau raising back to ``t``."""
+def lower_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> LabeledDiagram | None:
+    """Partial inverse of key or lock raising: lower the diagram, relabel it,
+    and keep the result only if raising sends it back to ``t``; None when no
+    tableau of the family raises to ``t``."""
+    label, raiser = (label_lock, raise_lkt) if is_lock(kind) else (label_key, raise_kkt)
     d2 = lower_diagram(t.diagram, i)
     if d2 is None:
         return None
-    t2 = label_key(d2, a)
-    if t2 is None or raise_kkt(t2, a, i) != t:
+    t2 = label(d2, a)
+    if t2 is None or raiser(t2, a, i) != t:
         return None
     return t2
+
+
+def lower_kkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | None:
+    return lower_tableau(t, a, i, "key")
 
 
 def lower_lkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | None:
-    """Partial inverse of raise_lkt; None when no lock tableau raises to ``t``."""
-    d2 = lower_diagram(t.diagram, i)
-    if d2 is None:
-        return None
-    t2 = label_lock(d2, a)
-    if t2 is None or raise_lkt(t2, a, i) != t:
-        return None
-    return t2
+    return lower_tableau(t, a, i, "lock")
 
 
 @dataclass(frozen=True)
@@ -218,14 +217,8 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     disconnected graph would be constructed faithfully rather than hidden
     by a search from one source.
     """
-    if kind == "key":
-        vertices = enumerate_kkt(a)
-        raiser = raise_kkt
-    elif kind == "lock":
-        vertices = enumerate_lkt(a)
-        raiser = raise_lkt
-    else:
-        raise ValueError(f"kind must be 'key' or 'lock', got {kind!r}")
+    raiser = raise_lkt if is_lock(kind) else raise_kkt
+    vertices = enumerate_tableaux(a, kind)
     index = {v: k for k, v in enumerate(vertices)}
     edges = []
     for v_idx, v in enumerate(vertices):
@@ -252,13 +245,3 @@ def is_connected(g: CrystalGraph) -> bool:
     for src, dst, _ in g.edges:
         parent[find(src)] = find(dst)
     return len({find(x) for x in range(count)}) == 1
-
-
-def character(g: CrystalGraph) -> SparsePolynomial:
-    """Generating polynomial of the vertex weights."""
-    n = len(g.content)
-    counts: dict[tuple[int, ...], int] = {}
-    for v in g.vertices:
-        w = padded_weight(v.diagram, n)
-        counts[w] = counts.get(w, 0) + 1
-    return SparsePolynomial.from_dict(n, counts)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb
 
 from .core import Composition, padded_weight
-from .tableaux import enumerate_kkt, enumerate_lkt
+from .tableaux import enumerate_tableaux
 
 ExponentVector = tuple[int, ...]
 
@@ -101,17 +101,18 @@ def is_monomial_positive(p: SparsePolynomial) -> bool:
 
 
 @lru_cache(maxsize=None)
+def polynomial(a: Composition, kind: str) -> SparsePolynomial:
+    """Generating polynomial of the key or lock Kohnert tableaux of content ``a``."""
+    counts = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_tableaux(a, kind))
+    return SparsePolynomial.from_dict(len(a), dict(counts))
+
+
 def key_polynomial(a: Composition) -> SparsePolynomial:
-    """Generating polynomial of the key Kohnert tableaux of content ``a``."""
-    counts = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_kkt(a))
-    return SparsePolynomial.from_dict(len(a), dict(counts))
+    return polynomial(a, "key")
 
 
-@lru_cache(maxsize=None)
 def lock_polynomial(a: Composition) -> SparsePolynomial:
-    """Generating polynomial of the lock Kohnert tableaux of content ``a``."""
-    counts = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_lkt(a))
-    return SparsePolynomial.from_dict(len(a), dict(counts))
+    return polynomial(a, "lock")
 
 
 def is_symmetric(p: SparsePolynomial) -> bool:

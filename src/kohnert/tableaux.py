@@ -4,6 +4,7 @@ A labeled diagram assigns one positive integer label to each cell.  The two
 tableau families share conditions (1)-(3) of their definitions (column
 support per label, the flagged bound, weakly descending strings) and differ
 in condition (4): keys use the inversion rule, locks strict column decrease.
+Functions that serve both families take a ``kind``, "key" or "lock".
 """
 
 from __future__ import annotations
@@ -298,34 +299,45 @@ def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
     return t if validate_lkt(t, a) else None
 
 
+def is_lock(kind: str) -> bool:
+    """Whether ``kind`` names the lock family rather than the key family.
+
+    Every function taking a ``kind`` checks it here; anything other than
+    "key" or "lock" is a ValueError.
+    """
+    if kind == "lock":
+        return True
+    if kind != "key":
+        raise ValueError(f"kind must be 'key' or 'lock', got {kind!r}")
+    return False
+
+
 @lru_cache(maxsize=None)
+def enumerate_tableaux(a: Composition, kind: str) -> tuple[LabeledDiagram, ...]:
+    """All key or lock Kohnert tableaux of content ``a``, in canonical order:
+    the labelings of the Kohnert closure of the key or lock diagram."""
+    seed, label = (lock_diagram, label_lock) if is_lock(kind) else (key_diagram, label_key)
+    out = []
+    for d in kohnert_closure(seed(a)):
+        t = label(d, a)
+        if t is None:
+            raise TheoremViolation(f"closure diagram {d.cells} of {a} has no {kind} labeling")
+        out.append(t)
+    return tuple(sorted(out))
+
+
 def enumerate_kkt(a: Composition) -> tuple[LabeledDiagram, ...]:
-    """All key Kohnert tableaux of content ``a``, in canonical order."""
-    out = []
-    for d in kohnert_closure(key_diagram(a)):
-        t = label_key(d, a)
-        if t is None:
-            raise TheoremViolation(f"closure diagram {d.cells} of {a} has no key labeling")
-        out.append(t)
-    return tuple(sorted(out))
+    return enumerate_tableaux(a, "key")
 
 
-@lru_cache(maxsize=None)
 def enumerate_lkt(a: Composition) -> tuple[LabeledDiagram, ...]:
-    """All lock Kohnert tableaux of content ``a``, in canonical order."""
-    out = []
-    for d in kohnert_closure(lock_diagram(a)):
-        t = label_lock(d, a)
-        if t is None:
-            raise TheoremViolation(f"closure diagram {d.cells} of {a} has no lock labeling")
-        out.append(t)
-    return tuple(sorted(out))
+    return enumerate_tableaux(a, "lock")
 
 
 def lock_source_tableau(a: Composition) -> LabeledDiagram:
     """The unique lock Kohnert tableau of content ``a`` and weight flatten(a)."""
     target = flatten(a)
-    found = [t for t in enumerate_lkt(a) if weight(t.diagram) == target]
+    found = [t for t in enumerate_tableaux(a, "lock") if weight(t.diagram) == target]
     if len(found) != 1:
         raise TheoremViolation(f"{len(found)} lock tableaux of weight {target} for {a}")
     return found[0]

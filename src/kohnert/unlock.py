@@ -22,7 +22,7 @@ from .core import (
     weight,
 )
 from .crystal import match_lines
-from .tableaux import LabeledDiagram, enumerate_kkt, enumerate_lkt, validate_kkt, validate_lkt
+from .tableaux import LabeledDiagram, enumerate_tableaux, validate_kkt, validate_lkt
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,6 @@ def rectify_by_pairing(d: Diagram, i: int) -> Diagram | None:
     return d.move((r, c), (r, i))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Operator subscripts in application order (first applied first)."""
-
-    column_indices: tuple[int, ...]
-
-
 def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:
     """Per-part blocks of the schedule for a flattened composition.
 
@@ -146,21 +139,10 @@ def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1024)
-def build_schedule(alpha: Composition) -> Schedule:
-    """Flat application-order schedule for a flattened composition."""
-    return Schedule(tuple(idx for block in schedule_groups(alpha) for idx in block))
-
-
-@dataclass(frozen=True)
-class LabelString:
-    """The boxes carrying one label, ordered by column."""
-
-    label: int
-    boxes: tuple[Cell, ...]
-
-
-def strings_of(t: LabeledDiagram) -> tuple[LabelString, ...]:
-    return tuple(LabelString(label, cells) for label, cells in t.strings.items())
+def build_schedule(alpha: Composition) -> tuple[int, ...]:
+    """Flat schedule for a flattened composition: the operator subscripts in
+    application order (first applied first)."""
+    return tuple(idx for block in schedule_groups(alpha) for idx in block)
 
 
 def left_justified(t: LabeledDiagram, cell: Cell, label: int | None = None) -> bool:
@@ -193,14 +175,14 @@ class UnlockStep:
 class UnlockTrace:
     """Replayable record of a full unlock run."""
 
-    schedule: Schedule
+    schedule: tuple[int, ...]
     steps: tuple[UnlockStep, ...]
     initial: LabeledDiagram
     final: LabeledDiagram
 
     def to_json(self) -> dict:
         return {
-            "schedule": list(self.schedule.column_indices),
+            "schedule": list(self.schedule),
             "steps": [s.to_json() for s in self.steps],
             "input": self.initial.to_json(),
             "output": self.final.to_json(),
@@ -327,7 +309,7 @@ def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | 
 def apply_rectification(d: Diagram, alpha: Composition) -> Diagram | None:
     """Fold rectification over the schedule of ``alpha``; None-propagating."""
     cur: Diagram | None = d
-    for idx in build_schedule(alpha).column_indices:
+    for idx in build_schedule(alpha):
         if cur is None:
             return None
         cur = rectify(cur, idx)
@@ -348,7 +330,7 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
     shadow = t.diagram
     state = _UnlockState(t)
     steps: list[UnlockStep] = []
-    for pos, idx in enumerate(sched.column_indices):
+    for pos, idx in enumerate(sched):
         step = state.op(idx)
         if step is None:
             raise TheoremViolation(
@@ -378,7 +360,7 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
 @lru_cache(maxsize=None)
 def unlock_map(a: Composition) -> tuple[tuple[LabeledDiagram, LabeledDiagram], ...]:
     """(source, image) pairs of the unlock map over all of LKT(a)."""
-    return tuple((t, apply_unlock(t, a)[0]) for t in enumerate_lkt(a))
+    return tuple((t, apply_unlock(t, a)[0]) for t in enumerate_tableaux(a, "lock"))
 
 
 def unlock_image(a: Composition) -> tuple[LabeledDiagram, ...]:
@@ -390,7 +372,7 @@ def unlock_image(a: Composition) -> tuple[LabeledDiagram, ...]:
     images = [img for _, img in pairs]
     if len(set(images)) != len(images):
         raise TheoremViolation(f"unlock map is not injective on content {a}")
-    keys = set(enumerate_kkt(a))
+    keys = set(enumerate_tableaux(a, "key"))
     for src, img in pairs:
         if img not in keys:
             raise TheoremViolation(

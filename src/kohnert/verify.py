@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, TheoremViolation, weight
+from .core import Composition, TheoremViolation
 from .crystal import (
     crystal_graph,
     is_connected,
@@ -30,7 +30,7 @@ from .poly import (
     schur_polynomial,
     subtract,
 )
-from .tableaux import enumerate_lkt, truncate_below
+from .tableaux import enumerate_tableaux, truncate_below
 from .unlock import rectify_move, schedule_groups, unlock_image, unlock_map
 
 #: Larger shapes swept in addition to the range; they exercise multi-swap
@@ -221,15 +221,12 @@ def check_agreement_and_truncation(
     cell a prefix rectification step moves."""
 
     def fn(a: Composition) -> str | None:
-        try:
-            unlock_image(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
-        except TheoremViolation as exc:
-            return str(exc)
+        unlock_image(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
         labels = [i + 1 for i, p in enumerate(a) if p > 0]
         groups = schedule_groups(tuple(p for p in a if p > 0))
         ends = list(itertools.accumulate(len(block) for block in groups[:-1]))
         longest = [idx for block in groups[:-1] for idx in block]
-        for t in enumerate_lkt(a):
+        for t in enumerate_tableaux(a, "lock"):
             # the untruncated diagram's moves along the longest prefix, up to
             # the first None; every shorter prefix reads its start
             moves = []

@@ -107,7 +107,7 @@ def test_criterion_4_crystals_of_1021():
 
 
 def test_criterion_5_schedule_and_both_walks():
-    assert build_schedule((1, 3, 3, 2)).column_indices == (2, 1, 1, 2)
+    assert build_schedule((1, 3, 3, 2)) == (2, 1, 1, 2)
     d = RECT_103032_CHAIN[0]
     for idx, expected in zip((2, 1, 1, 2), RECT_103032_CHAIN[1:]):
         d = rectify(d, idx)

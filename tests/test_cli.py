@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kohnert.cli import main, parse_composition
+from kohnert.cli import MAX_CELLS, main, parse_composition
 
 from golden import LOCK_1021
 
@@ -169,13 +169,46 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     from kohnert import TheoremViolation
     import kohnert.cli as cli
 
-    def boom(a):
+    def boom(a, kind):
         raise TheoremViolation("induced fault")
 
-    monkeypatch.setattr(cli, "key_polynomial", boom)
+    monkeypatch.setattr(cli, "polynomial", boom)
     code, _, err = run_cli(capsys, "poly", "--kind", "key", "--comp", "1")
     assert code == 3
     assert "internal fault" in err
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["poly", "--kind", "key", "--comp", "1100"], 1100),
+        (["crystal", "--kind", "lock", "--comp", "1100,0"], 1100),
+        (["enum", "--kind", "kd", "--comp", "1000000000000"], 10**12),
+        (["verify", "--check", "positivity", "--max-len", "1", "--max-part", "1100"], 1100),
+    ],
+)
+def test_oversized_input_is_a_usage_error(capsys, argv, size):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects --comp itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"size {size} " in err and f"limit of {MAX_CELLS} cells" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--kind", "key", "--comp", str(MAX_CELLS)],
+        ["poly", "--kind", "lock", "--comp", str(MAX_CELLS)],
+        ["verify", "--check", "positivity", "--max-len", "1", "--max-part", str(MAX_CELLS)],
+    ],
+)
+def test_inputs_at_the_size_limit_run(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
 
 
 def test_empty_composition(capsys):

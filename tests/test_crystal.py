@@ -1,20 +1,21 @@
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from kohnert import (
     Diagram,
-    character,
     crystal_graph,
+    enumerate_tableaux,
     is_connected,
     key_diagram,
-    key_polynomial,
     kohnert_closure,
     lock_diagram,
-    lock_polynomial,
     lower_diagram,
     lower_kkt,
     lower_lkt,
+    lower_tableau,
+    polynomial,
     raise_diagram,
     raise_kkt,
     raise_lkt,
@@ -256,12 +257,6 @@ def test_disconnected_graph_detected():
     assert not is_connected(g)
 
 
-def test_character_equals_generating_polynomial():
-    for a in [(1, 0, 2, 1), (0, 2, 3), (0, 0), ()]:
-        assert character(crystal_graph(a, "key")) == key_polynomial(a)
-        assert character(crystal_graph(a, "lock")) == lock_polynomial(a)
-
-
 def test_colors_for_empty_rows_yield_nothing():
     a = (2, 0, 0)
     g = crystal_graph(a, "key")
@@ -289,3 +284,18 @@ def test_closure_diagram_sweep_inverse_contract():
                     lowered = lower_diagram(d, i)
                     if lowered is not None:
                         assert raise_diagram(lowered, i) == d
+
+
+FAMILY_CALLS = {
+    "crystal_graph": lambda kind: crystal_graph((1, 0, 2, 1), kind),
+    "enumerate_tableaux": lambda kind: enumerate_tableaux((1, 0, 2, 1), kind),
+    "polynomial": lambda kind: polynomial((1, 0, 2, 1), kind),
+    "lower_tableau": lambda kind: lower_tableau(KEY_1021["A"], (1, 0, 2, 1), 1, kind),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_CALLS)
+@pytest.mark.parametrize("kind", ["kkt", "Key", "", None])
+def test_unknown_kind_is_a_value_error(name, kind):
+    with pytest.raises(ValueError, match="kind must be 'key' or 'lock'"):
+        FAMILY_CALLS[name](kind)
