@@ -19,8 +19,9 @@ from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau, v
 from .unlock import apply_unlock
 from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
 
-#: The most cells a composition may have.  Key labeling recurses once per
-#: cell, within CPython's default limit of 1,000 frames less its callers'.
+#: The most cells a composition may have.  It bounds input before
+#: ``key_diagram`` or ``lock_diagram`` builds a diagram cell by cell;
+#: ``core.MAX_CLOSURE`` bounds the closure search that follows.
 MAX_CELLS = 512
 
 

@@ -30,13 +30,18 @@ Composition = tuple[int, ...]
 _new = object.__new__
 _set = object.__setattr__
 
+#: The most diagrams ``kohnert_closure`` collects before it raises ValueError.
+#: Commands cost up to about 9 KB and 0.2 ms per closure diagram, so this keeps
+#: one near half a gigabyte and 10 s; tests and benchmark need at most 24,696.
+MAX_CLOSURE = 50_000
+
 
 class TheoremViolation(Exception):
     """A mathematical invariant the library relies on failed to hold.
 
     Raised for situations that are provably impossible on valid inputs (a
-    closure diagram with zero or two labelings, an unlock step disagreeing
-    with rectification, ...).  These abort loudly instead of returning None,
+    closure diagram with no labeling, an unlock step disagreeing with
+    rectification, ...).  These abort loudly instead of returning None,
     because None is reserved for legitimately inapplicable operations.
     """
 
@@ -235,7 +240,7 @@ def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
     in bits ``(r - 1) * w`` onward of one int, ``w`` being the width of
     ``d``, so a move is two bit flips.  Only the results become Diagrams,
     sorted so that iteration order (and anything serialized from it) is
-    deterministic.
+    deterministic.  Finding more than MAX_CLOSURE diagrams raises ValueError.
     """
     w = d.max_col
     height = d.max_row
@@ -260,6 +265,11 @@ def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
+                    if len(seen) > MAX_CLOSURE:
+                        raise ValueError(
+                            f"the Kohnert closure of the diagram of weight {weight(d)} exceeds "
+                            f"the limit of {MAX_CLOSURE} diagrams"
+                        )
     cell_at = [(p // w + 1, p % w + 1) for p in range(height * w)]  # bit p -> its cell
     out = []
     for state in frontier:

@@ -181,95 +181,43 @@ def validate_lkt(t: LabeledDiagram, a: Composition) -> bool:
 
 @lru_cache(maxsize=None)
 def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
-    """Find the key Kohnert tableau labeling of ``d`` with content ``a``.
+    """The key Kohnert tableau labeling of ``d`` with content ``a``, or None.
 
-    Condition (1) already fixes which labels each column holds (label i
-    occupies columns 1..a_i), so only the vertical arrangement within each
-    column is free.  Columns are filled left to right and each column one
-    cell at a time, top cell first, by backtracking.  A label l may take
-    row r only if it passes three rules, checked as the cell is filled:
-    the flag (l >= r), descent (r is at most l's row in the previous
-    column), and inversion (r is above every larger label sitting below l
-    in the previous column; when such a label exists, l must continue into
-    the next column).  The search runs to exhaustion so that a second
-    labeling, which would contradict uniqueness, is detected.
-
-    Returns None when no labeling exists; raises TheoremViolation if two do.
+    Label i fills columns 1..a_i, so only the order within each column is
+    free, and a direct rule picks it.  Columns go right to left, each
+    column's cells bottom to top, and the cell at row r takes the smallest
+    unused label l of its column that passes the flag (l >= r), descent (l's
+    row in the next column, if any, is at most r) and inversion (if a larger
+    label sits lower in this column, l's row in the next column is strictly
+    above the highest such label).  The result must still pass all four
+    tableau conditions.  None when a column's cell count differs from its
+    label count, a cell finds no label, or the conditions fail.
     """
     width = max(a, default=0)
-    col_rows: list[list[int]] = [[] for _ in range(width)]  # bottom to top
-    for r, c in d.cells:
+    col_cells = [[] for _ in range(width)]  # per column, bottom up: (k, row of d.cells[k])
+    for k, (r, c) in enumerate(d.cells):
         if c > width:
             return None
-        col_rows[c - 1].append(r)
-    col_labels: list[list[int]] = [[] for _ in range(width)]
-    for l, part in enumerate(a, 1):
-        for c in range(part):
-            col_labels[c].append(l)
-    if any(len(rows) != len(labels) for rows, labels in zip(col_rows, col_labels)):
-        return None
-
-    n = len(a)
-    placed = [[0] * (n + 1) for _ in range(width)]  # placed[c][l]: row of l in column c + 1
-    floor = [[0] * (n + 1) for _ in range(width + 1)]  # l must sit above floor[c][l]
-    solutions: list[tuple] = []
-
-    def place(c: int, k: int, used: int) -> None:
-        """Fill cell k (from the bottom) of column c + 1, then the cells
-        below it and the columns after it."""
-        labels = col_labels[c]
-        cur = placed[c]
-        prev = placed[c - 1] if c else None
-        low = floor[c]
-        r = col_rows[c][k]
-        for l in labels:
-            if l < r or low[l] >= r or used >> l & 1 or (prev is not None and prev[l] < r):
-                continue
-            cur[l] = r
-            if k:
-                place(c, k - 1, used | 1 << l)
-            elif _bound_next_column(labels, cur, floor[c + 1], a, c + 2):
-                if c + 1 < width:
-                    place(c + 1, len(col_rows[c + 1]) - 1, 0)
-                else:
-                    label_of = {
-                        (col[g], j + 1): g for j, col in enumerate(placed) for g in col_labels[j]
-                    }
-                    solutions.append(tuple((cell, label_of[cell]) for cell in d.cells))
-            if len(solutions) > 1:
-                return
-
-    if width:
-        place(0, len(col_rows[0]) - 1, 0)
-    else:
-        solutions.append(())
-    if len(solutions) > 1:
-        raise TheoremViolation(
-            f"two key labelings of {d.cells} for content {a}: "
-            f"{solutions[0]} and {solutions[1]}"
-        )
-    return LabeledDiagram._trusted(solutions[0], d) if solutions else None
-
-
-def _bound_next_column(
-    labels: list[int], cur: list[int], nxt: list[int], a: Composition, c: int
-) -> bool:
-    """The inversion rule across a filled column and column ``c``.
-
-    ``cur[l]`` is the row of each of ``labels`` in the filled column.  Sets
-    ``nxt[l]`` to the highest row of a larger label below l (0 if none),
-    which l must clear in column c; False when such an l stops short of c.
-    """
-    for l in labels:
-        r = cur[l]
-        below = 0
-        for g in labels:
-            if g > l and below < cur[g] < r:
-                below = cur[g]
-        if below and a[l - 1] < c:
-            return False
-        nxt[l] = below
-    return True
+        col_cells[c - 1].append((k, r))
+    labels = [0] * len(d.cells)
+    row = [0] * (len(a) + 1)  # row[l]: l's row in the last column filled, 0 if none
+    for c in range(width, 0, -1):
+        free = [l for l, part in enumerate(a, 1) if part >= c]
+        if len(free) != len(col_cells[c - 1]):
+            return None
+        top = [0] * len(row)  # top[l]: highest row so far of a larger label in this column
+        for k, r in col_cells[c - 1]:
+            for l in free:  # an unused label's row is still its row in column c + 1
+                if l >= r and row[l] <= r and not 0 < top[l] >= row[l]:
+                    break
+            else:
+                return None
+            free.remove(l)
+            top[:l] = [r] * l  # rows ascend, so r is now the highest for each smaller label
+            row[l] = r
+            labels[k] = l
+    t = LabeledDiagram._trusted(tuple(zip(d.cells, labels)), d)
+    return t if _conditions_hold(t, a, lock=False) else None
 
 
 @lru_cache(maxsize=None)

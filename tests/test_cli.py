@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from kohnert.cli import MAX_CELLS, main, parse_composition
+from kohnert.core import MAX_CLOSURE
 
 from golden import LOCK_1021
 
@@ -196,6 +197,25 @@ def test_oversized_input_is_a_usage_error(capsys, argv, size):
     assert code == 2
     assert out == ""
     assert f"size {size} " in err and f"limit of {MAX_CELLS} cells" in err
+
+
+@pytest.mark.parametrize(
+    "comp, weight",
+    [
+        ("0,0,0,0,6,6,6,6", "(0, 0, 0, 0, 6, 6, 6, 6)"),  # 9,343,620 key tableaux
+        ("0,0,512", "(0, 0, 512)"),  # 131,841 key tableaux of 512 cells each
+    ],
+)
+def test_oversized_closure_is_a_usage_error(comp, weight):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kohnert.cli", "poly", "--kind", "key", "--comp", comp],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"weight {weight} exceeds the limit of {MAX_CLOSURE} diagrams" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,9 @@ from kohnert import (
     label_key,
     label_lock,
     lock_diagram,
+    lower_diagram,
     m_max,
+    raise_diagram,
     rectify_move,
     validate_kkt,
     validate_lkt,
@@ -68,6 +70,27 @@ def test_labelings_match_permutation_search_and_closed_form(closures):
                     assert t.diagram == d
             pairs += 1
     assert pairs == 16943
+
+
+def test_key_labeling_matches_permutation_search_on_neighbours(closures):
+    # one raise or lower move away from a key closure, many diagrams have no
+    # key labeling: this pass holds the None path to the reference as well
+    pairs = unlabeled = 0
+    for a, (key, _) in closures.items():
+        neighbours = {
+            e
+            for d in key
+            for i in range(1, len(a) + 1)
+            for e in (raise_diagram(d, i), lower_diagram(d, i))
+            if e is not None
+        }
+        for d in sorted(neighbours):
+            t = label_key.__wrapped__(d, a)
+            expected = reference.label_key(d.cells, a)
+            assert (t.entries if t is not None else None) == expected, (d.cells, a)
+            pairs += 1
+            unlabeled += expected is None
+    assert (pairs, unlabeled) == (22098, 10932)
 
 
 def test_moves_pairings_and_rectification_match_definitions(closures):

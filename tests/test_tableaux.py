@@ -5,7 +5,6 @@ import pytest
 from kohnert import (
     Diagram,
     LabeledDiagram,
-    TheoremViolation,
     enumerate_kkt,
     enumerate_lkt,
     flatten,
@@ -21,6 +20,7 @@ from kohnert import (
     weight,
 )
 
+import reference
 from golden import (
     KKT_032,
     LKT_023,
@@ -161,11 +161,13 @@ def test_truncation_of_lkt_keeps_lock_conditions():
 
 
 def test_unique_labelings_across_small_range():
-    # label_key/label_lock raise if a second labeling exists, so a clean
-    # sweep certifies uniqueness over the whole range
+    # the permutation search asserts that no second key labeling exists, and
+    # the lock labeling's column order is forced, so a clean sweep certifies
+    # uniqueness over the whole range
     for a in small_compositions():
         for d in kohnert_closure(key_diagram(a)):
             assert label_key(d, a) is not None
+            assert reference.label_key(d.cells, a) == label_key(d, a).entries
         for d in kohnert_closure(lock_diagram(a)):
             assert label_lock(d, a) is not None
 
