@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import TheoremViolation, key_diagram, kohnert_closure
 from .crystal import crystal_graph
@@ -44,47 +44,10 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kohnert",
-        description="Exact enumeration of Kohnert diagrams, key/lock tableaux, "
-        "their polynomials and crystals, and the unlock map.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    enum = sub.add_parser("enum", help="enumerate tableaux or diagrams")
-    enum.add_argument("--kind", choices=("kkt", "lkt", "kd"), required=True)
-    enum.add_argument("--comp", type=parse_composition, required=True)
-    enum.add_argument("--format", choices=("ascii", "json"), default="ascii")
-
-    poly = sub.add_parser("poly", help="print a key or lock polynomial")
-    poly.add_argument("--kind", choices=("key", "lock"), required=True)
-    poly.add_argument("--comp", type=parse_composition, required=True)
-    poly.add_argument("--format", choices=("text", "json"), default="text")
-
-    crystal = sub.add_parser("crystal", help="build a crystal graph")
-    crystal.add_argument("--kind", choices=("key", "lock"), required=True)
-    crystal.add_argument("--comp", type=parse_composition, required=True)
-    crystal.add_argument("--dot", metavar="PATH", help="write DOT to PATH")
-    crystal.add_argument("--json", metavar="PATH", help="write graph JSON to PATH")
-
-    mp = sub.add_parser("map", help="apply the unlock map to lock tableaux")
-    mp.add_argument("--comp", type=parse_composition, required=True)
-    group = mp.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="map every lock tableau")
-    group.add_argument("--input", metavar="FILE", help="read one tableau as JSON")
-    mp.add_argument("--trace", action="store_true", help="also print the step trace")
-    mp.add_argument("--format", choices=("ascii", "json"), default="ascii")
-
-    ver = sub.add_parser("verify", help="run verification sweeps")
-    ver.add_argument(
-        "--check",
-        choices=tuple(ALL_CHECKS) + ("all",),
-        default="all",
-    )
-    ver.add_argument("--max-len", type=int, default=4)
-    ver.add_argument("--max-part", type=int, default=3)
-    return parser
+def _enum_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("kkt", "lkt", "kd"), required=True)
+    p.add_argument("--comp", type=parse_composition, required=True)
+    p.add_argument("--format", choices=("ascii", "json"), default="ascii")
 
 
 def _cmd_enum(args) -> int:
@@ -101,10 +64,23 @@ def _cmd_enum(args) -> int:
     return 0
 
 
+def _poly_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("key", "lock"), required=True)
+    p.add_argument("--comp", type=parse_composition, required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
 def _cmd_poly(args) -> int:
     p = polynomial(args.comp, args.kind)
     print(json.dumps(p.to_json()) if args.format == "json" else render_text(p))
     return 0
+
+
+def _crystal_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("key", "lock"), required=True)
+    p.add_argument("--comp", type=parse_composition, required=True)
+    p.add_argument("--dot", metavar="PATH", help="write DOT to PATH")
+    p.add_argument("--json", metavar="PATH", help="write graph JSON to PATH")
 
 
 def _cmd_crystal(args) -> int:
@@ -143,6 +119,15 @@ def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
     return LabeledDiagram.from_json(data)
 
 
+def _map_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--comp", type=parse_composition, required=True)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--all", action="store_true", help="map every lock tableau")
+    group.add_argument("--input", metavar="FILE", help="read one tableau as JSON")
+    p.add_argument("--trace", action="store_true", help="also print the step trace")
+    p.add_argument("--format", choices=("ascii", "json"), default="ascii")
+
+
 def _cmd_map(args) -> int:
     if args.all:
         sources = enumerate_tableaux(args.comp, "lock")
@@ -174,6 +159,12 @@ def _cmd_map(args) -> int:
     return 0
 
 
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--check", choices=tuple(ALL_CHECKS) + ("all",), default="all")
+    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-part", type=int, default=3)
+
+
 def _cmd_verify(args) -> int:
     names = list(ALL_CHECKS) if args.check == "all" else [args.check]
     rng = SweepRange(max_length=args.max_len, max_part=args.max_part)
@@ -196,21 +187,50 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+#: Each subcommand's help text, the function adding its arguments, and its handler.
+COMMANDS = {
+    "enum": ("enumerate tableaux or diagrams", _enum_arguments, _cmd_enum),
+    "poly": ("print a key or lock polynomial", _poly_arguments, _cmd_poly),
+    "crystal": ("build a crystal graph", _crystal_arguments, _cmd_crystal),
+    "map": ("apply the unlock map to lock tableaux", _map_arguments, _cmd_map),
+    "verify": ("run verification sweeps", _verify_arguments, _cmd_verify),
+}
+
+
+def build_parser(names: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The ``kohnert`` parser with the subcommands ``names``, by default all.
+
+    With fewer than all, the usage line still lists every subcommand, so an
+    error the top-level parser reports reads the same as with all of them.
+    """
+    names = list(names)
+    parser = argparse.ArgumentParser(
+        prog="kohnert",
+        description="Exact enumeration of Kohnert diagrams, key/lock tableaux, "
+        "their polynomials and crystals, and the unlock map.",
+    )
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=None if len(names) == len(COMMANDS) else every
+    )
+    for name in names:
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand needs only its own parser; help, no arguments and an
+    # unknown command get the full one, whose messages list every subcommand
+    named = bool(argv) and argv[0] in COMMANDS
+    parser = build_parser(argv[:1] if named else COMMANDS)
     args = parser.parse_args(argv)
     if not isinstance(getattr(args, "comp", ()), tuple):
         # argparse before Python 3.13 turns "--comp=--" into [] without parsing it
         parser.error(f"argument --comp: invalid composition {args.comp!r}")
-    handlers = {
-        "enum": _cmd_enum,
-        "poly": _cmd_poly,
-        "crystal": _cmd_crystal,
-        "map": _cmd_map,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][2](args)
     except TheoremViolation as exc:
         print(f"internal fault: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ extra same-label stop condition.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,11 +71,12 @@ def match_lines(
     return pairs, stack, unpaired
 
 
-def _row_pairing(d: Diagram, i: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """match_lines on rows i and i+1; bit position p stands for column p + 1."""
+def _row_pairing(
+    rows: tuple[int, ...], i: int
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """match_lines on the row masks i and i+1; bit position p stands for column p + 1."""
     if i < 1:
         raise ValueError("row index must be positive")
-    rows = d.rows
     lower = rows[i - 1] if i <= len(rows) else 0
     upper = rows[i] if i < len(rows) else 0
     return match_lines(lower, upper, range((lower | upper).bit_length()))
@@ -85,7 +86,7 @@ def vertical_pairing(d: Diagram, i: int) -> VerticalPairing:
     """Pair the boxes of rows i and i+1: same column first, then each
     unpaired upper box with the rightmost unpaired lower box to its left
     whenever everything between is already paired."""
-    pairs, lower, upper = _row_pairing(d, i)
+    pairs, lower, upper = _row_pairing(d.rows, i)
     return VerticalPairing(
         i,
         tuple(sorted(((i, p + 1), (i + 1, q + 1)) for p, q in pairs)),
@@ -94,18 +95,37 @@ def vertical_pairing(d: Diagram, i: int) -> VerticalPairing:
     )
 
 
-def raise_diagram(d: Diagram, i: int) -> Diagram | None:
-    """Push the rightmost vertically unpaired box of row i+1 down to row i."""
-    _, _, upper = _row_pairing(d, i)
+def _raise_rows(rows: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]] | None:
+    """Raising on row masks: the column of the rightmost vertically unpaired
+    box of row i+1 and the masks with that box pushed down to row i, or None
+    when row i+1 has no unpaired box."""
+    _, _, upper = _row_pairing(rows, i)
     if not upper:
         return None
-    c = upper[-1] + 1
-    return d.move((i + 1, c), (i, c))
+    bit = 1 << upper[-1]
+    out = list(rows)
+    out[i - 1] |= bit
+    out[i] ^= bit
+    while not out[-1]:
+        out.pop()
+    return upper[-1] + 1, tuple(out)
+
+
+def raise_diagram(d: Diagram, i: int) -> Diagram | None:
+    """Push the rightmost vertically unpaired box of row i+1 down to row i."""
+    raised = _raise_rows(d.rows, i)
+    if raised is None:
+        return None
+    c, rows = raised
+    cells = list(d.cells)
+    cells.remove((i + 1, c))
+    insort(cells, (i, c))
+    return Diagram._trusted(tuple(cells), rows)
 
 
 def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the leftmost vertically unpaired box of row i up to row i+1."""
-    _, lower, _ = _row_pairing(d, i)
+    _, lower, _ = _row_pairing(d.rows, i)
     if not lower:
         return None
     c = lower[0] + 1
@@ -131,7 +151,7 @@ def raise_lkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | Non
     label, in which case the operator returns None even though the
     underlying diagram could still be raised.
     """
-    _, _, upper = _row_pairing(t.diagram, i)
+    _, _, upper = _row_pairing(t.diagram.rows, i)
     if not upper:
         return None
     c = upper[-1] + 1
@@ -215,17 +235,36 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
 
     Raising is applied to every vertex and every color 1..len(a)-1, so a
     disconnected graph would be constructed faithfully rather than hidden
-    by a search from one source.
+    by a search from one source.  Lock raising is ``raise_lkt``.  Key
+    raising acts on the diagram alone, and every vertex was labeled and
+    validated during enumeration, so the raised row masks are looked up
+    among the vertices' instead of relabeled; a raised diagram outside the
+    Kohnert closure is a TheoremViolation.
     """
-    raiser = raise_lkt if is_lock(kind) else raise_kkt
     vertices = enumerate_tableaux(a, kind)
-    index = {v: k for k, v in enumerate(vertices)}
     edges = []
-    for v_idx, v in enumerate(vertices):
-        for color in range(1, len(a)):
-            u = raiser(v, a, color)
-            if u is not None:
-                edges.append((index[u], v_idx, color))
+    if is_lock(kind):
+        index = {v: k for k, v in enumerate(vertices)}
+        for v_idx, v in enumerate(vertices):
+            for color in range(1, len(a)):
+                u = raise_lkt(v, a, color)
+                if u is not None:
+                    edges.append((index[u], v_idx, color))
+    else:
+        index = {v.diagram.rows: k for k, v in enumerate(vertices)}
+        for v_idx, v in enumerate(vertices):
+            rows = v.diagram.rows
+            for color in range(1, len(a)):
+                raised = _raise_rows(rows, color)
+                if raised is None:
+                    continue
+                u = index.get(raised[1])
+                if u is None:
+                    d = raise_diagram(v.diagram, color)
+                    raise TheoremViolation(
+                        f"raised key diagram {d.cells} is not in the Kohnert closure of {a}"
+                    )
+                edges.append((u, v_idx, color))
     return CrystalGraph(kind, a, vertices, tuple(sorted(edges)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, TheoremViolation
@@ -32,6 +33,13 @@ from .poly import (
 )
 from .tableaux import enumerate_tableaux, truncate_below
 from .unlock import rectify_move, schedule_groups, unlock_image, unlock_map
+
+#: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
+#: past it before listing any.  A full ``verify`` costs about 10 ms and 0.13 MB
+#: per composition at 3,900 (length <= 5, parts <= 4: 39 s, 512 MB) and more on
+#: larger ranges, so this keeps one near half a gigabyte and a minute; the
+#: default range holds 341 and the benchmark's 392.
+MAX_SWEEP = 4_000
 
 #: Larger shapes swept in addition to the range; they exercise multi-swap
 #: unlock walks, early-stopping lock raises, and interleaved zero parts.
@@ -59,6 +67,19 @@ class SweepRange:
                 f"sweep bounds must be nonnegative, got max length {self.max_length} "
                 f"and max part {self.max_part}"
             )
+
+    def count(self) -> int:
+        """How many compositions ``compositions`` yields, in closed form."""
+        n, p, s = self.max_length, self.max_part, self.max_size
+        if s is None or s >= n * p:  # no size cap in effect: (p + 1)^l of each length l
+            return n + 1 if p == 0 else ((p + 1) ** (n + 1) - 1) // p
+        # inclusion-exclusion over j parts above p, summed over lengths 0..n:
+        # sum_l C(l, j) C(t + l, l) = C(t + j, j) C(t + n + 1, t + j + 1)
+        total = 0
+        for j in range(s // (p + 1) + 1):
+            t = s - j * (p + 1)
+            total += (-1) ** j * comb(t + j, j) * comb(t + n + 1, t + j + 1)
+        return total
 
     def compositions(self) -> Iterator[Composition]:
         for length in range(self.max_length + 1):
@@ -95,6 +116,13 @@ class VerificationReport:
 def _sweep(
     rng: SweepRange, extra: Sequence[Composition]
 ) -> list[Composition]:
+    count = rng.count()
+    if count > MAX_SWEEP:
+        size = "" if rng.max_size is None else f", size <= {rng.max_size}"
+        raise ValueError(
+            f"the sweep range (length <= {rng.max_length}, parts <= {rng.max_part}{size}) "
+            f"holds {count} compositions, which exceeds the limit of {MAX_SWEEP} compositions"
+        )
     comps = list(rng.compositions())
     seen = set(comps)
     for a in extra:

@@ -4,8 +4,9 @@ These are the straightforward formulations the packed-row kernel replaced:
 a breadth-first closure that rescans rows of cell sets, fixpoint pairing,
 the column-surplus statistic evaluated at every row, a key labeling search
 over all k! arrangements of each column, the closed-form lock labeling,
-condition-by-condition tableau validation, and the unlock operator that
-rebuilds every string from a cell-to-label dict on each swap.  They work on plain cell
+condition-by-condition tableau validation, the key crystal built by
+relabeling every raised diagram, and the unlock operator that rebuilds every
+string from a cell-to-label dict on each swap.  They work on plain cell
 tuples and share no code with ``kohnert`` beyond reading ``Diagram.cells``
 and ``LabeledDiagram.entries``, so the differential tests can hold the
 kernel to them.
@@ -173,6 +174,26 @@ def label_key(cells, a):
     place(1)
     assert len(solutions) <= 1, f"two key labelings of {cells} for {a}"
     return solutions[0] if solutions else None
+
+
+def key_crystal(a):
+    """(vertices, edges) of the key crystal of content ``a``: the sorted key
+    labelings of the closure of the key diagram, and an edge (u, v, i)
+    wherever raising vertex v's diagram at color i and relabeling the result
+    gives vertex u."""
+    seed = tuple((i + 1, c) for i, part in enumerate(a) for c in range(1, part + 1))
+    vertices = tuple(sorted(label_key(cells, a) for cells in closure(seed)))
+    index = {entries: k for k, entries in enumerate(vertices)}
+    edges = []
+    for k, entries in enumerate(vertices):
+        cells = {cell for cell, _ in entries}
+        for i in range(1, len(a)):
+            upper = vertical_pairing(cells, i)[2]
+            if upper:
+                r, c = upper[-1]
+                raised = tuple(sorted(cells - {(r, c)} | {(i, c)}))
+                edges.append((index[label_key(raised, a)], k, i))
+    return vertices, tuple(sorted(edges))
 
 
 def label_lock(cells, a):

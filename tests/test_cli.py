@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+import kohnert.cli as cli
 from kohnert.cli import MAX_CELLS, main, parse_composition
 from kohnert.core import MAX_CLOSURE
+from kohnert.verify import MAX_SWEEP
 
 from golden import LOCK_1021
 
@@ -218,6 +220,20 @@ def test_oversized_closure_is_a_usage_error(comp, weight):
     assert f"weight {weight} exceeds the limit of {MAX_CLOSURE} diagrams" in proc.stderr
 
 
+def test_oversized_sweep_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "kohnert.cli", "verify", "--check", "positivity",
+         "--max-len", "8", "--max-part", "6"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert (f"(length <= 8, parts <= 6) holds 6725601 compositions, which exceeds the "
+            f"limit of {MAX_SWEEP} compositions") in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -251,6 +267,36 @@ def test_bare_double_dash_composition_is_a_usage_error(capsys):
         main(["enum", "--kind", "kkt", "--comp=--"])
     assert exc.value.code == 2
     assert "invalid composition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([name, "--help"] for name in cli.COMMANDS),
+        ["poly", "--kind", "key"],  # --comp missing
+        ["crystal", "--kind", "kkt", "--comp", "1"],  # bad --kind choice
+        ["enum", "--kind", "kkt", "--comp=--"],
+        ["poly", "--kind", "key", "--comp", "1", "extra"],  # reported by the top-level parser
+        ["map", "--comp", "1", "--all", "--input", "t.json"],
+        ["nosuch"],
+        ["-h"],
+        [],
+    ],
+)
+def test_subcommand_parser_matches_full_parser(monkeypatch, capsys, argv):
+    build = cli.build_parser
+    built = []
+
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    monkeypatch.setattr(cli, "build_parser", lambda names: built.append(list(names)) or build(names))
+    own = outcome()
+    assert built == [argv[:1] if argv and argv[0] in cli.COMMANDS else list(cli.COMMANDS)]
+    monkeypatch.setattr(cli, "build_parser", lambda names: build())
+    assert outcome() == own
 
 
 def test_stdout_byte_stable_across_processes():

@@ -1,10 +1,13 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kohnert.crystal as crystal
 from kohnert import (
     Diagram,
+    TheoremViolation,
     crystal_graph,
     enumerate_tableaux,
     is_connected,
@@ -237,6 +240,19 @@ def test_edges_unique_per_color():
             incoming = {(dst, c) for _, dst, c in g.edges}
             assert len(outgoing) == len(g.edges)
             assert len(incoming) == len(g.edges)
+
+
+def test_key_crystal_raising_out_of_the_vertices_is_a_theorem_violation(monkeypatch):
+    a = (1, 0, 2, 1)
+    g = crystal_graph(a, "key")
+    raisable = {v for _, v, _ in g.edges}  # vertices that are not highest weight
+    dropped = g.vertices[next(u for u, _, _ in g.edges if u in raisable)]
+    monkeypatch.setattr(
+        crystal, "enumerate_tableaux", lambda a, kind: tuple(v for v in g.vertices if v != dropped)
+    )
+    message = f"raised key diagram {dropped.diagram.cells} is not in the Kohnert closure of {a}"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        crystal.crystal_graph.__wrapped__(a, "key")
 
 
 def test_connectivity():

@@ -12,6 +12,7 @@ from kohnert import (
     Diagram,
     LabeledDiagram,
     apply_unlock,
+    crystal_graph,
     enumerate_kkt,
     enumerate_lkt,
     horizontal_pairing,
@@ -91,6 +92,18 @@ def test_key_labeling_matches_permutation_search_on_neighbours(closures):
             pairs += 1
             unlabeled += expected is None
     assert (pairs, unlabeled) == (22098, 10932)
+
+
+def test_key_crystal_matches_relabeling_reference():
+    vertices = edges = 0
+    for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS)):
+        g = crystal_graph(a, "key")
+        expected_vertices, expected_edges = reference.key_crystal(a)
+        assert tuple(v.entries for v in g.vertices) == expected_vertices, a
+        assert g.edges == expected_edges, a
+        vertices += len(expected_vertices)
+        edges += len(expected_edges)
+    assert (vertices, edges) == (11738, 18944)
 
 
 def test_moves_pairings_and_rectification_match_definitions(closures):

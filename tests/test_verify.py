@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kohnert import (
     SPOT_COMPOSITIONS,
     SweepRange,
@@ -11,6 +13,7 @@ from kohnert import (
     check_positivity,
     run_checks,
 )
+from kohnert.verify import DEFAULT_RANGE, MAX_SWEEP, _sweep
 
 SMALL = SweepRange(max_length=3, max_part=2)
 
@@ -24,6 +27,27 @@ def test_sweep_range_enumeration():
 def test_sweep_range_max_size():
     rng = SweepRange(max_length=2, max_part=3, max_size=1)
     assert list(rng.compositions()) == [(), (0,), (1,), (0, 0), (0, 1), (1, 0)]
+
+
+def test_sweep_range_count_is_the_number_enumerated():
+    for length in range(7):
+        for part in range(5):
+            for size in (None, -1, *range(15)):
+                rng = SweepRange(length, part, size)
+                assert rng.count() == sum(1 for _ in rng.compositions()), rng
+    assert SweepRange(8, 6).count() == (7**9 - 1) // 6
+    assert SweepRange(10**9, 0).count() == 10**9 + 1
+
+
+def test_sweep_size_limit():
+    # the default range and the benchmark's are listed; one past the limit is refused first
+    assert len(_sweep(DEFAULT_RANGE, SPOT_COMPOSITIONS)) == 343
+    assert len(_sweep(SweepRange(5, 3, 5), SPOT_COMPOSITIONS)) == 394
+    over = SweepRange(max_length=1, max_part=MAX_SWEEP - 1)
+    assert over.count() == MAX_SWEEP + 1
+    with pytest.raises(ValueError, match=f"holds {MAX_SWEEP + 1} compositions, which exceeds the "
+                       f"limit of {MAX_SWEEP} compositions"):
+        _sweep(over, ())
 
 
 def test_positivity_small_range():
