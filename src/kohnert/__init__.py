@@ -10,7 +10,6 @@ from .core import (
     flatten,
     key_diagram,
     kohnert_closure,
-    kohnert_move,
     lock_diagram,
     padded_weight,
     weight,
@@ -59,12 +58,9 @@ from .unlock import (
     HorizontalPairing,
     UnlockStep,
     UnlockTrace,
-    apply_rectification,
     apply_unlock,
     build_schedule,
     horizontal_pairing,
-    left_justified,
-    m_max,
     m_statistic,
     rectify,
     rectify_by_pairing,

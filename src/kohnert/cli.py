@@ -106,6 +106,8 @@ def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
         raise ValueError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ValueError(f"malformed JSON in {path}: nested too deeply to parse") from exc
     # a lock tableau of content a lies in rows 1..len(a) and columns 1..max(a);
     # checked first because building a diagram allocates by its coordinates
     n, m = len(a), max(a, default=0)

@@ -213,25 +213,6 @@ def lock_diagram(a: Composition) -> Diagram:
     )
 
 
-def kohnert_move(d: Diagram, row: int) -> Diagram | None:
-    """Drop the rightmost cell of ``row`` to the first open cell below it.
-
-    The cell falls within its column, jumping over occupied cells, and lands
-    in the highest empty position strictly below.  Returns None when the row
-    is empty or the column is blocked all the way to the floor.
-    """
-    if row < 1:
-        raise ValueError("row must be positive")
-    rows = d.rows
-    if row > len(rows) or not rows[row - 1]:
-        return None
-    c = rows[row - 1].bit_length()
-    for r in range(row - 1, 0, -1):
-        if (r, c) not in d:
-            return d.move((row, c), (r, c))
-    return None
-
-
 @lru_cache(maxsize=None)
 def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
     """All diagrams reachable from ``d`` by Kohnert moves, including ``d``.

@@ -54,9 +54,6 @@ class SparsePolynomial:
     def one(cls, n: int) -> "SparsePolynomial":
         return cls(n, (((0,) * n, 1),))
 
-    def coefficient(self, exp: ExponentVector) -> int:
-        return dict(self.terms).get(exp, 0)
-
     def to_json(self) -> dict:
         return {"n": self.n, "terms": [{"exp": list(e), "coef": c} for e, c in self.terms]}
 

@@ -9,7 +9,6 @@ Functions that serve both families take a ``kind``, "key" or "lock".
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,13 +79,6 @@ class LabeledDiagram:
             label: tuple(sorted(cells, key=lambda rc: (rc[1], rc[0])))
             for label, cells in sorted(out.items())
         }
-
-    def label_at(self, cell: Cell) -> int:
-        entries = self.entries
-        k = bisect_left(entries, (cell,))
-        if k == len(entries) or entries[k][0] != cell:
-            raise KeyError(cell)
-        return entries[k][1]
 
     def content(self) -> Composition:
         """Multiplicity of each label from 1 up to the largest present."""

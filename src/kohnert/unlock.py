@@ -81,11 +81,6 @@ def _surplus_peak(d: Diagram, i: int) -> tuple[int, int]:
     return best, row
 
 
-def m_max(d: Diagram, i: int) -> int:
-    """Maximum of the column surplus over all rows; at least 0."""
-    return _surplus_peak(d, i)[0]
-
-
 def rectify_move(d: Diagram, i: int) -> tuple[Cell, Cell] | None:
     """The (source, target) cells of the rectification push, or None.
 
@@ -143,14 +138,6 @@ def build_schedule(alpha: Composition) -> tuple[int, ...]:
     """Flat schedule for a flattened composition: the operator subscripts in
     application order (first applied first)."""
     return tuple(idx for block in schedule_groups(alpha) for idx in block)
-
-
-def left_justified(t: LabeledDiagram, cell: Cell, label: int | None = None) -> bool:
-    """Whether every column left of ``cell`` holds a box of its string."""
-    if label is None:
-        label = t.label_at(cell)
-    cols = {c for (_, c), l in t.entries if l == label}
-    return all(c in cols for c in range(1, cell[1]))
 
 
 @dataclass(frozen=True)
@@ -304,16 +291,6 @@ def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | 
     state = _UnlockState(t)
     step = state.op(i)
     return None if step is None else (state.tableau(), step)
-
-
-def apply_rectification(d: Diagram, alpha: Composition) -> Diagram | None:
-    """Fold rectification over the schedule of ``alpha``; None-propagating."""
-    cur: Diagram | None = d
-    for idx in build_schedule(alpha):
-        if cur is None:
-            return None
-        cur = rectify(cur, idx)
-    return cur
 
 
 def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, UnlockTrace]:

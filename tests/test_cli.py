@@ -144,6 +144,14 @@ def test_map_malformed_json_reports_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_map_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "t.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "map", "--comp", "1,2", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert f"malformed JSON in {src}: nested too deeply to parse" in err
+
+
 def test_verify_pass(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--check", "positivity", "--max-len", "2", "--max-part", "2"

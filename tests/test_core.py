@@ -6,7 +6,6 @@ from kohnert import (
     flatten,
     key_diagram,
     kohnert_closure,
-    kohnert_move,
     lock_diagram,
     padded_weight,
     weight,
@@ -59,23 +58,29 @@ def test_key_and_lock_diagrams_have_weight_a(a):
 
 
 def test_kohnert_move_single_cell_falls():
-    assert kohnert_move(diagram((3, 1)), 3) == diagram((2, 1))
+    expected = {diagram((3, 1)), diagram((2, 1)), diagram((1, 1))}
+    assert set(kohnert_closure(diagram((3, 1)))) == expected
 
 
 def test_kohnert_move_jumps_over_cells():
-    assert kohnert_move(diagram((1, 1), (3, 1)), 3) == diagram((1, 1), (2, 1))
+    d = diagram((1, 1), (3, 1))
+    assert set(kohnert_closure(d)) == {d, diagram((1, 1), (2, 1))}
 
 
 def test_kohnert_move_blocked_column():
-    assert kohnert_move(diagram((1, 1), (2, 1)), 2) is None
+    d = diagram((1, 1), (2, 1))
+    assert kohnert_closure(d) == (d,)
 
 
 def test_kohnert_move_empty_row():
-    assert kohnert_move(diagram((1, 1)), 5) is None
+    d = diagram((1, 1), (1, 3))  # nothing above row 1 moves
+    assert kohnert_closure(d) == (d,)
 
 
 def test_kohnert_move_takes_rightmost():
-    assert kohnert_move(key_diagram((0, 2)), 2) == diagram((1, 2), (2, 1))
+    # from key (0, 2), the cell (2, 2) drops first, not (2, 1)
+    assert diagram((1, 2), (2, 1)) in kohnert_closure(key_diagram((0, 2)))
+    assert diagram((1, 1), (2, 2)) not in kohnert_closure(key_diagram((0, 2)))
 
 
 def test_closure_of_empty():
@@ -110,14 +115,6 @@ def test_flatten():
     assert flatten((1, 0, 3, 0, 3, 2)) == (1, 3, 3, 2)
     assert flatten((0, 0)) == ()
     assert flatten((0, 2, 3)) == (2, 3)
-
-
-@given(small_diagrams, st.integers(1, 6))
-def test_move_preserves_cell_count(d, row):
-    moved = kohnert_move(d, row)
-    if moved is not None:
-        assert len(moved) == len(d)
-        assert moved != d
 
 
 @given(small_diagrams)

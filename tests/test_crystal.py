@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 import kohnert.crystal as crystal
 from kohnert import (
+    SPOT_COMPOSITIONS,
     Diagram,
+    SweepRange,
     TheoremViolation,
     crystal_graph,
     enumerate_tableaux,
@@ -206,6 +208,27 @@ def test_tableau_raise_lower_contracts():
                     lowered = lowerer(t, a, i)
                     if lowered is not None:
                         assert raiser(lowered, a, i) == t
+
+
+def test_lowering_is_the_reversed_edge():
+    # the intertwining check reads both operators off the crystal edges
+    edges = 0
+    for a in dict.fromkeys([*SweepRange(4, 3).compositions(), *SPOT_COMPOSITIONS]):
+        for kind in ("key", "lock"):
+            g = crystal_graph(a, kind)
+            index = {v: k for k, v in enumerate(g.vertices)}
+            lowerings = {
+                (u, index[v], i)
+                for u, t in enumerate(g.vertices)
+                for i in range(1, len(a))
+                if (v := lower_tableau(t, a, i, kind)) is not None
+            }
+            assert lowerings == set(g.edges), (a, kind)
+            if kind == "key":
+                for u, v, i in g.edges:
+                    assert raise_kkt(g.vertices[v], a, i) == g.vertices[u], (a, i)
+            edges += len(g.edges)
+    assert edges == 6034
 
 
 def test_lock_spine_lowering():

@@ -8,7 +8,6 @@ from kohnert import (
     Diagram,
     LabeledDiagram,
     TheoremViolation,
-    apply_rectification,
     apply_unlock,
     build_schedule,
     enumerate_kkt,
@@ -17,10 +16,8 @@ from kohnert import (
     horizontal_pairing,
     key_diagram,
     kohnert_closure,
-    left_justified,
     lock_diagram,
     lock_source_tableau,
-    m_max,
     m_statistic,
     raise_diagram,
     rectify,
@@ -69,17 +66,17 @@ def test_horizontal_pairing_rect_chain_start():
 
 def test_m_statistic_empty():
     assert m_statistic(Diagram(), 1, 1) == 0
-    assert m_max(Diagram(), 1) == 0
 
 
 def test_m_statistic_lock_023():
     d = lock_diagram((0, 2, 3))
     assert [m_statistic(d, 1, r) for r in (1, 2, 3)] == [1, 1, 0]
-    assert m_max(d, 1) == 1
 
 
-def test_m_max_empty_right_column():
-    assert m_max(diagram((1, 1), (2, 1)), 1) == 0
+def test_rectify_empty_right_column():
+    d = diagram((1, 1), (2, 1))
+    assert [m_statistic(d, 1, r) for r in (1, 2, 3)] == [-2, -1, 0]
+    assert rectify_move(d, 1) is None
 
 
 def test_rectify_lock_023():
@@ -159,8 +156,11 @@ def test_schedule_groups_1332():
 
 def test_left_justified_and_strings():
     t = UNLOCK_103032_CHAIN[0]
-    assert left_justified(t, (2, 3))  # the 3 in column 3 has 3s in columns 1 and 2
-    assert not left_justified(t, (1, 3))  # the lone 1 sits in column 3
+    label_at = dict(t.entries)
+    columns = {label: {c for _, c in cells} for label, cells in t.strings.items()}
+    # the 3 in column 3 has 3s in columns 1 and 2; the lone 1 sits in column 3
+    assert label_at[(2, 3)] == 3 and {1, 2} <= columns[3]
+    assert label_at[(1, 3)] == 1 and columns[1] == {3}
     labels = list(t.strings)
     assert labels == [1, 3, 5, 6]
 
@@ -214,20 +214,29 @@ def test_apply_unlock_rejects_non_lock_input():
         apply_unlock(tableau((1, 1, 1)), (0, 1))
 
 
+def _rectify_along_schedule(d, alpha):
+    """Fold ``rectify`` over the schedule of ``alpha``, None-propagating."""
+    for idx in build_schedule(alpha):
+        if d is None:
+            return None
+        d = rectify(d, idx)
+    return d
+
+
 def test_apply_rectification_chain_and_identity():
-    assert apply_rectification(RECT_103032_CHAIN[0], (1, 3, 3, 2)) == RECT_103032_CHAIN[-1]
+    assert _rectify_along_schedule(RECT_103032_CHAIN[0], (1, 3, 3, 2)) == RECT_103032_CHAIN[-1]
     d = diagram((1, 1), (2, 2))
-    assert apply_rectification(d, (2, 2)) == d  # empty schedule
+    assert _rectify_along_schedule(d, (2, 2)) == d  # empty schedule
 
 
 def test_apply_rectification_lock_source_023():
-    got = apply_rectification(lock_source_tableau((0, 2, 3)).diagram, (2, 3))
+    got = _rectify_along_schedule(lock_source_tableau((0, 2, 3)).diagram, (2, 3))
     assert got == diagram((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
 
 
 def test_rectification_on_lock_diagram_gives_key_diagram():
     for a in [(1, 0, 3, 0, 3, 2), (0, 2, 3), (1, 0, 2, 1), (0, 3, 4)]:
-        assert apply_rectification(lock_diagram(a), flatten(a)) == key_diagram(a)
+        assert _rectify_along_schedule(lock_diagram(a), flatten(a)) == key_diagram(a)
 
 
 def test_apply_unlock_lock_source_023():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -116,7 +117,49 @@ def test_intertwining_catches_swapped_images(monkeypatch):
     monkeypatch.setattr(verify, "unlock_map", swapped)
     report = check_intertwining(SweepRange(0, 0), ((1, 0, 2, 1),))
     assert [a for a, _ in report.failures] == [(1, 0, 2, 1)]
-    assert report.failures[0][1].startswith("lowering color 2 fails on ")
+    assert report.failures[0][1].startswith("raising color ")
+
+
+def test_intertwining_catches_a_missing_key_edge(monkeypatch):
+    import kohnert.verify as verify
+
+    a = (1, 0, 2, 1)
+    lock, key = verify.crystal_graph(a, "lock"), verify.crystal_graph(a, "key")
+    images = dict(verify.unlock_map(a))
+    u, v, color = lock.edges[-1]
+    needed = (
+        key.vertices.index(images[lock.vertices[u]]),
+        key.vertices.index(images[lock.vertices[v]]),
+        color,
+    )
+    assert needed in key.edges
+    thinned = dataclasses.replace(key, edges=tuple(e for e in key.edges if e != needed))
+    original = verify.crystal_graph
+    monkeypatch.setattr(
+        verify,
+        "crystal_graph",
+        lambda b, kind: thinned if (b, kind) == (a, "key") else original(b, kind),
+    )
+    report = check_intertwining(SweepRange(0, 0), (a,))
+    assert report.failures == ((a, f"raising color {color} fails on {lock.vertices[v].entries}"),)
+
+
+def test_intertwining_catches_an_image_outside_the_key_crystal(monkeypatch):
+    import kohnert.verify as verify
+
+    a = (1, 0, 2, 1)
+    lock, key = verify.crystal_graph(a, "lock"), verify.crystal_graph(a, "key")
+    u, v, color = lock.edges[0]
+    stray = lock.vertices[v]  # a lock tableau that is not a key tableau
+    assert stray not in key.vertices
+    original = verify.unlock_map
+    monkeypatch.setattr(
+        verify,
+        "unlock_map",
+        lambda b: tuple((t, stray if t == stray else img) for t, img in original(b)),
+    )
+    report = check_intertwining(SweepRange(0, 0), (a,))
+    assert report.failures == ((a, f"raising color {color} fails on {stray.entries}"),)
 
 
 def test_agreement_catches_wrong_truncation(monkeypatch):
