@@ -16,7 +16,6 @@ from .core import (
 )
 from .crystal import (
     CrystalGraph,
-    VerticalPairing,
     crystal_graph,
     is_connected,
     lower_diagram,
@@ -26,7 +25,7 @@ from .crystal import (
     raise_diagram,
     raise_kkt,
     raise_lkt,
-    vertical_pairing,
+    raise_tableau,
 )
 from .poly import (
     SparsePolynomial,

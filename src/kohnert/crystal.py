@@ -1,40 +1,26 @@
 """Vertical pairing, raising/lowering operators, and crystal graphs.
 
-Raising pushes a box from row i+1 down to row i; lowering is its partial
-inverse.  On key tableaux the operators act through the underlying diagram
-and relabeling; on lock tableaux the moved box keeps its label, with an
-extra same-label stop condition.
+Raising pushes the rightmost vertically unpaired box of row i+1 down to row
+i; lowering is its partial inverse.  Both tableau families raise the same
+way, through the underlying diagram and relabeling, with one extra rule for
+locks: raising stops when a box to the right of the moving box, in its row,
+carries its label.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Cell, Composition, Diagram, TheoremViolation
+from .core import Composition, Diagram, TheoremViolation
 from .tableaux import (
     LabeledDiagram,
     enumerate_tableaux,
     is_lock,
     label_key,
     label_lock,
-    validate_lkt,
 )
-
-
-@dataclass(frozen=True)
-class VerticalPairing:
-    """Outcome of pairing rows i and i+1 of a diagram.
-
-    ``pairs`` holds (lower, upper) cell pairs; the unpaired lists are
-    ordered left to right.
-    """
-
-    row: int
-    pairs: tuple[tuple[Cell, Cell], ...]
-    unpaired_lower: tuple[Cell, ...]
-    unpaired_upper: tuple[Cell, ...]
 
 
 def match_lines(
@@ -82,19 +68,6 @@ def _row_pairing(
     return match_lines(lower, upper, range((lower | upper).bit_length()))
 
 
-def vertical_pairing(d: Diagram, i: int) -> VerticalPairing:
-    """Pair the boxes of rows i and i+1: same column first, then each
-    unpaired upper box with the rightmost unpaired lower box to its left
-    whenever everything between is already paired."""
-    pairs, lower, upper = _row_pairing(d.rows, i)
-    return VerticalPairing(
-        i,
-        tuple(sorted(((i, p + 1), (i + 1, q + 1)) for p, q in pairs)),
-        tuple((i, p + 1) for p in lower),
-        tuple((i + 1, q + 1) for q in upper),
-    )
-
-
 def _raise_rows(rows: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]] | None:
     """Raising on row masks: the column of the rightmost vertically unpaired
     box of row i+1 and the masks with that box pushed down to row i, or None
@@ -116,11 +89,8 @@ def raise_diagram(d: Diagram, i: int) -> Diagram | None:
     raised = _raise_rows(d.rows, i)
     if raised is None:
         return None
-    c, rows = raised
-    cells = list(d.cells)
-    cells.remove((i + 1, c))
-    insort(cells, (i, c))
-    return Diagram._trusted(tuple(cells), rows)
+    c = raised[0]
+    return d.move((i + 1, c), (i, c))
 
 
 def lower_diagram(d: Diagram, i: int) -> Diagram | None:
@@ -132,57 +102,56 @@ def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     return d.move((i, c), (i + 1, c))
 
 
-def raise_kkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | None:
-    """Raising on a key Kohnert tableau: raise the diagram, then relabel."""
-    d2 = raise_diagram(t.diagram, i)
-    if d2 is None:
+def _lock_stops(t: LabeledDiagram, i: int, c: int) -> bool:
+    """The lock stop rule: whether a box to the right of the moving box
+    (i+1, c), in its row, carries its label.  Lock raising then does
+    nothing, even though the diagram itself could be raised."""
+    entries = t.entries
+    k = bisect_left(entries, ((i + 1, c),))
+    end = bisect_left(entries, ((i + 2,),), k)  # the first entry above row i+1
+    label = entries[k][1]
+    return any(l == label for _, l in entries[k + 1:end])
+
+
+def raise_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> LabeledDiagram | None:
+    """Raising on a key or lock Kohnert tableau: raise the diagram, subject
+    to the lock stop rule, then relabel it.
+
+    For locks, relabeling gives the tableau in which the moved box kept its
+    label: the cell below the moving box is empty, so the move keeps the
+    order of boxes in every column, and that order forces the lock labels.
+    A raised diagram with no labeling is a TheoremViolation.
+    """
+    lock = is_lock(kind)
+    raised = _raise_rows(t.diagram.rows, i)
+    if raised is None or lock and _lock_stops(t, i, raised[0]):
         return None
-    t2 = label_key(d2, a)
+    c = raised[0]
+    d = t.diagram.move((i + 1, c), (i, c))
+    t2 = (label_lock if lock else label_key)(d, a)
     if t2 is None:
-        raise TheoremViolation(f"raised key diagram {d2.cells} lost its labeling for {a}")
+        raise TheoremViolation(f"raised {kind} diagram {d.cells} lost its labeling for {a}")
     return t2
+
+
+def raise_kkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | None:
+    return raise_tableau(t, a, i, "key")
 
 
 def raise_lkt(t: LabeledDiagram, a: Composition, i: int) -> LabeledDiagram | None:
-    """Raising on a lock Kohnert tableau.
-
-    The rightmost unpaired box of row i+1 moves down one row keeping its
-    label, unless a box to its right in the same row carries the same
-    label, in which case the operator returns None even though the
-    underlying diagram could still be raised.
-    """
-    _, _, upper = _row_pairing(t.diagram.rows, i)
-    if not upper:
-        return None
-    c = upper[-1] + 1
-    entries = t.entries
-    k = bisect_left(entries, ((i + 1, c),))
-    label = entries[k][1]
-    for (r, _), l in entries[k + 1:]:
-        if r > i + 1:
-            break
-        if l == label:
-            return None
-    rest = entries[:k] + entries[k + 1:]
-    j = bisect_left(rest, ((i, c),))
-    t2 = LabeledDiagram._trusted(rest[:j] + (((i, c), label),) + rest[j:])
-    if not validate_lkt(t2, a):
-        raise TheoremViolation(
-            f"lock raising of {t.entries} by color {i} produced an invalid tableau"
-        )
-    return t2
+    return raise_tableau(t, a, i, "lock")
 
 
 def lower_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> LabeledDiagram | None:
     """Partial inverse of key or lock raising: lower the diagram, relabel it,
     and keep the result only if raising sends it back to ``t``; None when no
     tableau of the family raises to ``t``."""
-    label, raiser = (label_lock, raise_lkt) if is_lock(kind) else (label_key, raise_kkt)
+    label = label_lock if is_lock(kind) else label_key
     d2 = lower_diagram(t.diagram, i)
     if d2 is None:
         return None
     t2 = label(d2, a)
-    if t2 is None or raiser(t2, a, i) != t:
+    if t2 is None or raise_tableau(t2, a, i, kind) != t:
         return None
     return t2
 
@@ -235,36 +204,30 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
 
     Raising is applied to every vertex and every color 1..len(a)-1, so a
     disconnected graph would be constructed faithfully rather than hidden
-    by a search from one source.  Lock raising is ``raise_lkt``.  Key
-    raising acts on the diagram alone, and every vertex was labeled and
-    validated during enumeration, so the raised row masks are looked up
-    among the vertices' instead of relabeled; a raised diagram outside the
-    Kohnert closure is a TheoremViolation.
+    by a search from one source.  Both families raise the vertex's row
+    masks, skip the edge when the lock stop rule applies, and look the
+    raised masks up among the vertices' instead of relabeling: every vertex
+    was labeled and validated during enumeration, and a diagram has at most
+    one labeling per family.  A raised diagram outside the Kohnert closure
+    is a TheoremViolation.
     """
+    lock = is_lock(kind)
     vertices = enumerate_tableaux(a, kind)
+    index = {v.diagram.rows: k for k, v in enumerate(vertices)}
     edges = []
-    if is_lock(kind):
-        index = {v: k for k, v in enumerate(vertices)}
-        for v_idx, v in enumerate(vertices):
-            for color in range(1, len(a)):
-                u = raise_lkt(v, a, color)
-                if u is not None:
-                    edges.append((index[u], v_idx, color))
-    else:
-        index = {v.diagram.rows: k for k, v in enumerate(vertices)}
-        for v_idx, v in enumerate(vertices):
-            rows = v.diagram.rows
-            for color in range(1, len(a)):
-                raised = _raise_rows(rows, color)
-                if raised is None:
-                    continue
-                u = index.get(raised[1])
-                if u is None:
-                    d = raise_diagram(v.diagram, color)
-                    raise TheoremViolation(
-                        f"raised key diagram {d.cells} is not in the Kohnert closure of {a}"
-                    )
-                edges.append((u, v_idx, color))
+    for v_idx, v in enumerate(vertices):
+        rows = v.diagram.rows
+        for color in range(1, len(a)):
+            raised = _raise_rows(rows, color)
+            if raised is None or lock and _lock_stops(v, color, raised[0]):
+                continue
+            u = index.get(raised[1])
+            if u is None:
+                d = raise_diagram(v.diagram, color)
+                raise TheoremViolation(
+                    f"raised {kind} diagram {d.cells} is not in the Kohnert closure of {a}"
+                )
+            edges.append((u, v_idx, color))
     return CrystalGraph(kind, a, vertices, tuple(sorted(edges)))
 
 

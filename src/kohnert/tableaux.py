@@ -212,7 +212,6 @@ def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
     return t if _conditions_hold(t, a, lock=False) else None
 
 
-@lru_cache(maxsize=None)
 def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
     """Find the lock Kohnert tableau labeling of ``d`` with content ``a``.
 

@@ -5,7 +5,8 @@ a breadth-first closure that rescans rows of cell sets, fixpoint pairing,
 the column-surplus statistic evaluated at every row, a key labeling search
 over all k! arrangements of each column, the closed-form lock labeling,
 condition-by-condition tableau validation, the key crystal built by
-relabeling every raised diagram, and the unlock operator that rebuilds every
+relabeling every raised diagram, the lock crystal built by moving each
+raised box with its label, and the unlock operator that rebuilds every
 string from a cell-to-label dict on each swap.  They work on plain cell
 tuples and share no code with ``kohnert`` beyond reading ``Diagram.cells``
 and ``LabeledDiagram.entries``, so the differential tests can hold the
@@ -212,6 +213,36 @@ def label_lock(cells, a):
         entries.extend(((r, c), l) for r, l in zip(rows, labels))
     entries = tuple(sorted(entries))
     return entries if validate_lkt(entries, a) else None
+
+
+def lock_crystal(a):
+    """(vertices, edges) of the lock crystal of content ``a``: the sorted lock
+    labelings of the closure of the lock diagram, and an edge (u, v, i)
+    wherever raising vertex v at color i gives vertex u.  The rightmost
+    unpaired box of row i+1 moves down keeping its label, unless a box to its
+    right in row i+1 carries the same label; the moved tableau must pass the
+    lock conditions."""
+    m = max(a, default=0)
+    seed = tuple((i + 1, c) for i, part in enumerate(a) for c in range(m - part + 1, m + 1))
+    vertices = tuple(sorted(label_lock(cells, a) for cells in closure(seed)))
+    index = {entries: k for k, entries in enumerate(vertices)}
+    edges = []
+    for k, entries in enumerate(vertices):
+        labels = dict(entries)
+        for i in range(1, len(a)):
+            upper = vertical_pairing(tuple(labels), i)[2]
+            if not upper:
+                continue
+            r, c = upper[-1]
+            label = labels[(r, c)]
+            if any(l == label for (rr, cc), l in entries if rr == r and cc > c):
+                continue
+            moved = dict(labels)
+            moved[(i, c)] = moved.pop((r, c))
+            raised = tuple(sorted(moved.items()))
+            assert validate_lkt(raised, a), (entries, i)
+            edges.append((index[raised], k, i))
+    return vertices, tuple(sorted(edges))
 
 
 def _strings(entries):

@@ -24,7 +24,7 @@ from kohnert import (
     raise_diagram,
     raise_kkt,
     raise_lkt,
-    vertical_pairing,
+    raise_tableau,
 )
 
 from golden import (
@@ -38,6 +38,7 @@ from golden import (
     VPAIR_UNPAIRED_UPPER,
     diagram,
 )
+from reference import vertical_pairing
 
 small_diagrams = st.lists(
     st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=10
@@ -45,30 +46,30 @@ small_diagrams = st.lists(
 
 
 def test_vertical_pairing_same_column():
-    vp = vertical_pairing(diagram((2, 1), (3, 1), (3, 2)), 2)
-    assert vp.pairs == (((2, 1), (3, 1)),)
-    assert vp.unpaired_upper == ((3, 2),)
-    assert vp.unpaired_lower == ()
+    pairs, lower, upper = vertical_pairing(diagram((2, 1), (3, 1), (3, 2)).cells, 2)
+    assert pairs == (((2, 1), (3, 1)),)
+    assert upper == ((3, 2),)
+    assert lower == ()
 
 
 def test_vertical_pairing_no_partner_to_the_left():
-    vp = vertical_pairing(diagram((2, 2), (3, 1)), 2)
-    assert vp.pairs == ()
-    assert vp.unpaired_upper == ((3, 1),)
-    assert vp.unpaired_lower == ((2, 2),)
+    pairs, lower, upper = vertical_pairing(diagram((2, 2), (3, 1)).cells, 2)
+    assert pairs == ()
+    assert upper == ((3, 1),)
+    assert lower == ((2, 2),)
 
 
 def test_vertical_pairing_wide_example():
-    vp = vertical_pairing(VPAIR_DIAGRAM, 2)
-    assert vp.pairs == VPAIR_PAIRS
-    assert vp.unpaired_upper == VPAIR_UNPAIRED_UPPER
+    pairs, _, upper = vertical_pairing(VPAIR_DIAGRAM.cells, 2)
+    assert pairs == VPAIR_PAIRS
+    assert upper == VPAIR_UNPAIRED_UPPER
 
 
 def test_vertical_pairing_partitions_both_rows():
     for i in (1, 2, 3):
-        vp = vertical_pairing(VPAIR_DIAGRAM, i)
-        seen = set(vp.unpaired_lower) | set(vp.unpaired_upper)
-        for low, up in vp.pairs:
+        pairs, lower, upper = vertical_pairing(VPAIR_DIAGRAM.cells, i)
+        seen = set(lower) | set(upper)
+        for low, up in pairs:
             seen.update((low, up))
         expected = set(VPAIR_DIAGRAM.row(i)) | set(VPAIR_DIAGRAM.row(i + 1))
         assert seen == expected
@@ -172,7 +173,7 @@ def test_kkt_raising_count_equals_unpaired_boxes():
     a = (1, 0, 2, 1)
     for t in crystal_graph(a, "key").vertices:
         for i in range(1, len(a)):
-            unpaired = len(vertical_pairing(t.diagram, i).unpaired_upper)
+            unpaired = len(vertical_pairing(t.diagram.cells, i)[2])
             steps = 0
             cur = t
             while (nxt := raise_kkt(cur, a, i)) is not None:
@@ -185,7 +186,7 @@ def test_lkt_raising_count_at_most_unpaired_boxes():
     a = (0, 3, 4)
     for t in crystal_graph(a, "lock").vertices:
         for i in range(1, len(a)):
-            unpaired = len(vertical_pairing(t.diagram, i).unpaired_upper)
+            unpaired = len(vertical_pairing(t.diagram.cells, i)[2])
             steps = 0
             cur = t
             while (nxt := raise_lkt(cur, a, i)) is not None:
@@ -248,7 +249,7 @@ def test_lock_raise_none_iff_relabel_fails():
             for i in range(1, len(a)):
                 blocked = (
                     raise_lkt(t, a, i) is None
-                    and vertical_pairing(t.diagram, i).unpaired_upper
+                    and vertical_pairing(t.diagram.cells, i)[2]
                 )
                 if blocked:
                     raised = raise_diagram(t.diagram, i)
@@ -265,17 +266,27 @@ def test_edges_unique_per_color():
             assert len(incoming) == len(g.edges)
 
 
-def test_key_crystal_raising_out_of_the_vertices_is_a_theorem_violation(monkeypatch):
+def _check_raising_into_a_dropped_vertex(monkeypatch, kind):
+    """Enumerate the (1,0,2,1) tableaux of ``kind`` without one vertex that
+    another raises to: building the crystal must name it in a TheoremViolation."""
     a = (1, 0, 2, 1)
-    g = crystal_graph(a, "key")
+    g = crystal_graph(a, kind)
     raisable = {v for _, v, _ in g.edges}  # vertices that are not highest weight
     dropped = g.vertices[next(u for u, _, _ in g.edges if u in raisable)]
     monkeypatch.setattr(
         crystal, "enumerate_tableaux", lambda a, kind: tuple(v for v in g.vertices if v != dropped)
     )
-    message = f"raised key diagram {dropped.diagram.cells} is not in the Kohnert closure of {a}"
+    message = f"raised {kind} diagram {dropped.diagram.cells} is not in the Kohnert closure of {a}"
     with pytest.raises(TheoremViolation, match=re.escape(message)):
-        crystal.crystal_graph.__wrapped__(a, "key")
+        crystal.crystal_graph.__wrapped__(a, kind)
+
+
+def test_key_crystal_raising_out_of_the_vertices_is_a_theorem_violation(monkeypatch):
+    _check_raising_into_a_dropped_vertex(monkeypatch, "key")
+
+
+def test_lock_crystal_raising_out_of_the_vertices_is_a_theorem_violation(monkeypatch):
+    _check_raising_into_a_dropped_vertex(monkeypatch, "lock")
 
 
 def test_connectivity():
@@ -330,6 +341,7 @@ FAMILY_CALLS = {
     "enumerate_tableaux": lambda kind: enumerate_tableaux((1, 0, 2, 1), kind),
     "polynomial": lambda kind: polynomial((1, 0, 2, 1), kind),
     "lower_tableau": lambda kind: lower_tableau(KEY_1021["A"], (1, 0, 2, 1), 1, kind),
+    "raise_tableau": lambda kind: raise_tableau(KEY_1021["A"], (1, 0, 2, 1), 1, kind),
 }
 
 

@@ -26,7 +26,6 @@ from kohnert import (
     rectify_move,
     validate_kkt,
     validate_lkt,
-    vertical_pairing,
 )
 
 import reference
@@ -60,10 +59,10 @@ def test_labelings_match_permutation_search_and_closed_form(closures):
     for a, (key, lock) in closures.items():
         for d in key + lock:
             for labeler, expected in (
-                (label_key, reference.label_key(d.cells, a)),
+                (label_key.__wrapped__, reference.label_key(d.cells, a)),  # not a cached answer
                 (label_lock, reference.label_lock(d.cells, a)),
             ):
-                t = labeler.__wrapped__(d, a)  # the search itself, not a cached answer
+                t = labeler(d, a)
                 assert (t.entries if t is not None else None) == expected, (labeler, d.cells, a)
                 if t is not None:
                     assert t.diagram == d
@@ -104,14 +103,38 @@ def test_key_crystal_matches_relabeling_reference():
     assert (vertices, edges) == (11738, 18944)
 
 
+def test_lock_crystal_matches_label_keeping_reference():
+    vertices = edges = 0
+    for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS)):
+        g = crystal_graph(a, "lock")
+        expected_vertices, expected_edges = reference.lock_crystal(a)
+        assert tuple(v.entries for v in g.vertices) == expected_vertices, a
+        assert g.edges == expected_edges, a
+        vertices += len(expected_vertices)
+        edges += len(expected_edges)
+    assert (vertices, edges) == (5820, 8249)
+
+
 def test_moves_pairings_and_rectification_match_definitions(closures):
     diagrams = sorted({d for key, lock in closures.values() for d in key + lock})
     for d in diagrams:
         cells = d.cells
         for i in range(1, d.max_row + 2):
-            vp = vertical_pairing(d, i)
-            expected = reference.vertical_pairing(cells, i)
-            assert (vp.pairs, vp.unpaired_lower, vp.unpaired_upper) == expected
+            # raising moves the rightmost unpaired upper box down, lowering
+            # the leftmost unpaired lower box up
+            _, lower, upper = reference.vertical_pairing(cells, i)
+            raised = raise_diagram(d, i)
+            lowered = lower_diagram(d, i)
+            if upper:
+                r, c = upper[-1]
+                assert raised.cells == tuple(sorted(set(cells) - {(r, c)} | {(i, c)}))
+            else:
+                assert raised is None
+            if lower:
+                r, c = lower[0]
+                assert lowered.cells == tuple(sorted(set(cells) - {(r, c)} | {(i + 1, c)}))
+            else:
+                assert lowered is None
         for i in range(1, d.max_col + 2):
             hp = horizontal_pairing(d, i)
             expected = reference.horizontal_pairing(cells, i)
