@@ -212,18 +212,24 @@ def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
     return t if _conditions_hold(t, a, lock=False) else None
 
 
+@lru_cache(maxsize=1024)
+def _lock_column_labels(a: Composition) -> tuple[tuple[int, ...], ...]:
+    """Per column, the labels a lock tableau of content ``a`` holds there,
+    smallest first: label l fills columns m - a_l + 1 .. m, m = max(a)."""
+    m = max(a, default=0)
+    return tuple(tuple(l for l, part in enumerate(a, 1) if part >= m - c) for c in range(m))
+
+
 def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
     """Find the lock Kohnert tableau labeling of ``d`` with content ``a``.
 
-    Closed form: each column's label set is forced, and strict column
-    decrease forces their order (largest label on top).  The remaining
+    Closed form: each column's label set is forced (``_lock_column_labels``,
+    once per content), and strict column decrease forces their order
+    (largest label on top).  The remaining
     flagged and descent conditions are then checked.
     """
-    m = max(a, default=0)
-    col_labels: list[list[int]] = [[] for _ in range(m)]  # smallest first
-    for l, part in enumerate(a, 1):
-        for c in range(m - part, m):
-            col_labels[c].append(l)
+    col_labels = _lock_column_labels(a)
+    m = len(col_labels)
     filled = [0] * m  # cells met so far in each column, bottom up
     entries = []
     for cell in d.cells:

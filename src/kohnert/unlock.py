@@ -18,6 +18,7 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
+    bits,
     flatten,
     weight,
 )
@@ -65,14 +66,14 @@ def m_statistic(d: Diagram, i: int, r: int) -> int:
     return right - left
 
 
-def _surplus_peak(d: Diagram, i: int) -> tuple[int, int]:
-    """The maximum of ``m_statistic(d, i, r)`` over all rows r (at least 0),
-    and the largest row attaining it when positive, in one top-down pass
-    that keeps the running column counts."""
+def _surplus_peak(rows: list[int] | tuple[int, ...], i: int) -> tuple[int, int]:
+    """The maximum of ``m_statistic`` at index i over all rows r (at least
+    0) of the diagram with row masks ``rows``, and the largest row attaining
+    it when positive, in one top-down pass that keeps the running column
+    counts.  Rectification pushes the box of column i+1 in that row."""
     if i < 1:
         raise ValueError("indices must be positive")
     best = row = surplus = 0
-    rows = d.rows
     for r in range(len(rows), 0, -1):
         pair = rows[r - 1] >> (i - 1) & 3  # bit 0: column i, bit 1: column i+1
         surplus += (pair >> 1) - (pair & 1)
@@ -87,7 +88,7 @@ def rectify_move(d: Diagram, i: int) -> tuple[Cell, Cell] | None:
     The box at the largest row where the column surplus attains its
     positive maximum moves from column i+1 to column i.
     """
-    best, r = _surplus_peak(d, i)
+    best, r = _surplus_peak(d.rows, i)
     if best <= 0:
         return None
     return (r, i + 1), (r, i)
@@ -296,15 +297,15 @@ def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | 
 def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, UnlockTrace]:
     """Run the full unlock schedule on a lock Kohnert tableau of content ``a``.
 
-    A rectification shadow runs alongside on the underlying diagram, and
-    the two must agree after every step; the final tableau must be a key
-    Kohnert tableau of the same content and weight.  Any disagreement is a
-    TheoremViolation.
+    A rectification shadow runs alongside on the underlying diagram's row
+    masks, and the two must agree after every step; the final tableau must
+    be a key Kohnert tableau of the same content and weight.  Any
+    disagreement is a TheoremViolation.
     """
     if not validate_lkt(t, a):
         raise ValueError(f"input is not a lock Kohnert tableau of content {a}")
     sched = build_schedule(flatten(a))
-    shadow = t.diagram
+    shadow = list(t.diagram.rows)  # the rectification shadow, as row masks
     state = _UnlockState(t)
     steps: list[UnlockStep] = []
     for pos, idx in enumerate(sched):
@@ -314,24 +315,33 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
                 f"unlock step {pos} (index {idx}) found nothing to move on "
                 f"{state.tableau().entries}"
             )
-        rectified = rectify(shadow, idx)
-        if rectified is None:
+        best, r = _surplus_peak(shadow, idx)
+        if best <= 0:
             raise TheoremViolation(
-                f"rectification step {pos} (index {idx}) vanished on {shadow.cells}"
+                f"rectification step {pos} (index {idx}) vanished on {_cells(shadow)}"
             )
-        shadow = rectified
-        if tuple(state.rows) != shadow.rows:
+        # the peak row holds a box in column idx + 1 and none in column idx
+        shadow[r - 1] ^= 3 << (idx - 1)
+        if state.rows != shadow:
             raise TheoremViolation(
                 f"unlock and rectification disagree after step {pos} (index {idx}): "
-                f"{state.tableau().diagram.cells} vs {shadow.cells}"
+                f"{_cells(state.rows)} vs {_cells(shadow)}"
             )
         steps.append(step)
     out = state.tableau()
     if not validate_kkt(out, a):
         raise TheoremViolation(f"unlock output {out.entries} is not a key tableau of {a}")
-    if weight(out.diagram) != weight(t.diagram):
-        raise TheoremViolation("unlock changed the weight")
+    before, after = weight(t.diagram), weight(out.diagram)
+    if after != before:
+        raise TheoremViolation(
+            f"unlock changed the weight of {t.diagram.cells} from {before} to {after}"
+        )
     return out, UnlockTrace(sched, tuple(steps), t, out)
+
+
+def _cells(rows: list[int]) -> tuple[Cell, ...]:
+    """The cells of row masks ``rows``, in row-major order."""
+    return tuple((r, c) for r, mask in enumerate(rows, 1) for c in bits(mask))
 
 
 @lru_cache(maxsize=None)

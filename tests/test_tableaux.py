@@ -19,6 +19,7 @@ from kohnert import (
     validate_lkt,
     weight,
 )
+from kohnert.tableaux import _lock_column_labels
 
 import reference
 from golden import (
@@ -101,6 +102,40 @@ def test_label_lock_source_diagram():
 
 def test_label_lock_wrong_columns():
     assert label_lock(diagram((1, 1)), (0, 2, 3)) is None
+
+
+def _lock_entries(d, a):
+    t = label_lock(d, a)
+    return None if t is None else t.entries
+
+
+@pytest.mark.parametrize("cells, a, labeled", [
+    (((2, 2), (2, 3), (3, 1), (3, 2), (3, 4)), (0, 2, 3), False),  # a cell right of max(a)
+    (((1, 3), (2, 2), (2, 3), (3, 2), (3, 3)), (0, 2, 3), False),  # column 3 over-full
+    (((2, 2), (2, 3), (3, 1), (3, 2)), (0, 2, 3), False),  # column 3 under-full
+    ((), (0, 0, 0), True),  # content of all zeros
+    (((1, 1),), (0, 0, 0), False),
+], ids=["right_of_max", "over_full", "under_full", "zero_content", "zero_content_cell"])
+def test_label_lock_edge_cases_match_reference(cells, a, labeled):
+    d = Diagram(cells)
+    expected = reference.label_lock(d.cells, a)
+    assert (expected is not None) == labeled
+    assert _lock_entries(d, a) == expected
+
+
+def test_label_lock_alternating_contents_match_reference():
+    # one diagram labeled for two contents in turn, so the per-content column
+    # labels of one content can never serve the other
+    differing = 0
+    for a, b in [((0, 2, 3), (2, 0, 3)), ((1, 0, 2, 1), (0, 1, 2, 1)), ((1, 2), (2, 1))]:
+        diagrams = set(kohnert_closure(lock_diagram(a))) | set(kohnert_closure(lock_diagram(b)))
+        for d in sorted(diagrams):
+            for c in (a, b, a, b):
+                assert _lock_entries(d, c) == reference.label_lock(d.cells, c), (d.cells, c)
+            both = _lock_entries(d, a), _lock_entries(d, b)
+            differing += None not in both and both[0] != both[1]
+    assert differing == 9  # diagrams that both contents label, differently
+    assert _lock_column_labels.cache_info().maxsize is not None  # a bounded cache
 
 
 def test_enumerate_kkt_032_matches_golden():

@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kohnert.unlock as unlock_module
 from kohnert import (
     Diagram,
     LabeledDiagram,
@@ -212,6 +214,64 @@ def test_apply_unlock_matches_walk_and_traces():
 def test_apply_unlock_rejects_non_lock_input():
     with pytest.raises(ValueError):
         apply_unlock(tableau((1, 1, 1)), (0, 1))
+
+
+def _unlock_fault(monkeypatch, name, fake, pattern, witness):
+    """Run ``apply_unlock`` on the first (1,0,3,0,3,2) chain tableau with
+    ``kohnert.unlock.<name>`` replaced by ``fake``: it must raise a
+    TheoremViolation matching ``pattern`` whose message holds ``witness``."""
+    monkeypatch.setattr(unlock_module, name, fake)
+    with pytest.raises(TheoremViolation, match=pattern) as info:
+        apply_unlock(UNLOCK_103032_CHAIN[0], (1, 0, 3, 0, 3, 2))
+    assert str(witness) in str(info.value)
+
+
+def test_apply_unlock_fault_shadow_disagrees(monkeypatch):
+    real = unlock_module._surplus_peak
+
+    def peak_one_row_up(rows, i):  # the shadow pushes from the wrong row
+        best, r = real(rows, i)
+        return best, r % len(rows) + 1
+
+    # the first step (index 2) pushes (1, 3) to (1, 2); the witness names
+    # the unlocked cells after it
+    _unlock_fault(monkeypatch, "_surplus_peak", peak_one_row_up,
+                  re.escape("disagree after step 0 (index 2)"),
+                  UNLOCK_103032_CHAIN[1].diagram.cells)
+
+
+def test_apply_unlock_fault_rectification_vanishes(monkeypatch):
+    _unlock_fault(monkeypatch, "_surplus_peak", lambda rows, i: (0, 0),
+                  re.escape("rectification step 0 (index 2) vanished"),
+                  UNLOCK_103032_CHAIN[0].diagram.cells)
+
+
+def test_apply_unlock_fault_output_not_a_key_tableau(monkeypatch):
+    _unlock_fault(monkeypatch, "validate_kkt", lambda t, a: False,
+                  "is not a key tableau", UNLOCK_103032_CHAIN[-1].entries)
+
+
+def test_apply_unlock_fault_weight_changed(monkeypatch):
+    weights = iter([(2, 1), (1, 2)])  # input first, then output
+    _unlock_fault(monkeypatch, "weight", lambda d: next(weights),
+                  re.escape("from (2, 1) to (1, 2)"), UNLOCK_103032_CHAIN[0].diagram.cells)
+
+
+@pytest.mark.parametrize("d", [Diagram(), RECT_103032_CHAIN[0]], ids=["empty", "rect_103032"])
+@pytest.mark.parametrize("call", [
+    lambda d: rectify_move(d, 0),
+    lambda d: rectify(d, 0),
+    lambda d: rectify_by_pairing(d, 0),
+    lambda d: m_statistic(d, 0, 1),
+    lambda d: m_statistic(d, 1, 0),
+    lambda d: horizontal_pairing(d, 0),
+], ids=["rectify_move", "rectify", "rectify_by_pairing", "m_statistic_i", "m_statistic_r",
+        "horizontal_pairing"])
+def test_index_zero_is_a_value_error(call, d):
+    # "positive" names the guard: a bare index 0 would otherwise fail, if at
+    # all, with a negative shift count
+    with pytest.raises(ValueError, match="positive"):
+        call(d)
 
 
 def _rectify_along_schedule(d, alpha):
