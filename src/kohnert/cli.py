@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import TheoremViolation, key_diagram, kohnert_closure
 from .crystal import crystal_graph
@@ -199,38 +199,51 @@ COMMANDS = {
 }
 
 
-def build_parser(names: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
-    """The ``kohnert`` parser with the subcommands ``names``, by default all.
-
-    With fewer than all, the usage line still lists every subcommand, so an
-    error the top-level parser reports reads the same as with all of them.
-    """
-    names = list(names)
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``kohnert`` parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="kohnert",
         description="Exact enumeration of Kohnert diagrams, key/lock tableaux, "
         "their polynomials and crystals, and the unlock map.",
     )
-    every = "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=None if len(names) == len(COMMANDS) else every
-    )
-    for name in names:
-        help_text, add_arguments, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a named subcommand needs only its own parser; help, no arguments and an
-    # unknown command get the full one, whose messages list every subcommand
-    named = bool(argv) and argv[0] in COMMANDS
-    parser = build_parser(argv[:1] if named else COMMANDS)
+def _parse_full(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the full parser, which reports every usage error."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not isinstance(getattr(args, "comp", ()), tuple):
         # argparse before Python 3.13 turns "--comp=--" into [] without parsing it
         parser.error(f"argument --comp: invalid composition {args.comp!r}")
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, building only the named
+    subcommand's parser when that parser accepts the rest of ``argv``.
+
+    The full parser hands a subcommand's arguments to the same parser, so
+    help and errors inside the subcommand read the same either way; leftover
+    arguments and a ``--comp=--`` go to the full parser, which reports them
+    with its own usage line.
+    """
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"kohnert {name}")
+        COMMANDS[name][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest and isinstance(getattr(args, "comp", ()), tuple):
+            args.command = name
+            return args
+    return _parse_full(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return COMMANDS[args.command][2](args)
     except TheoremViolation as exc:

@@ -57,31 +57,44 @@ def match_lines(
     return pairs, stack, unpaired
 
 
-def _row_pairing(
-    rows: tuple[int, ...], i: int
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """match_lines on the row masks i and i+1; bit position p stands for column p + 1."""
+def _row_masks(rows: tuple[int, ...], i: int) -> tuple[int, int]:
+    """The masks of rows i and i+1; bit position p stands for column p + 1."""
     if i < 1:
         raise ValueError("row index must be positive")
-    lower = rows[i - 1] if i <= len(rows) else 0
-    upper = rows[i] if i < len(rows) else 0
-    return match_lines(lower, upper, range((lower | upper).bit_length()))
+    return rows[i - 1] if i <= len(rows) else 0, rows[i] if i < len(rows) else 0
 
 
 def _raise_rows(rows: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]] | None:
     """Raising on row masks: the column of the rightmost vertically unpaired
     box of row i+1 and the masks with that box pushed down to row i, or None
-    when row i+1 has no unpaired box."""
-    _, _, upper = _row_pairing(rows, i)
-    if not upper:
+    when row i+1 has no unpaired box.
+
+    Only that one box matters, so the pairing is counted, not listed: boxes
+    in both rows pair in place, and scanning the rest from the left, each
+    row-i box opens and each row-(i+1) box closes an open one if any is left
+    and is unpaired otherwise.
+    """
+    lower, upper = _row_masks(rows, i)
+    rest = lower ^ upper
+    opened = 0
+    bit = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if low & lower:
+            opened += 1
+        elif opened:
+            opened -= 1
+        else:
+            bit = low
+    if not bit:
         return None
-    bit = 1 << upper[-1]
     out = list(rows)
     out[i - 1] |= bit
     out[i] ^= bit
     while not out[-1]:
         out.pop()
-    return upper[-1] + 1, tuple(out)
+    return bit.bit_length(), tuple(out)
 
 
 def raise_diagram(d: Diagram, i: int) -> Diagram | None:
@@ -95,10 +108,11 @@ def raise_diagram(d: Diagram, i: int) -> Diagram | None:
 
 def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the leftmost vertically unpaired box of row i up to row i+1."""
-    _, lower, _ = _row_pairing(d.rows, i)
-    if not lower:
+    lower, upper = _row_masks(d.rows, i)
+    _, unpaired, _ = match_lines(lower, upper, range((lower | upper).bit_length()))
+    if not unpaired:
         return None
-    c = lower[0] + 1
+    c = unpaired[0] + 1
     return d.move((i, c), (i + 1, c))
 
 

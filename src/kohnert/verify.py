@@ -111,11 +111,12 @@ def _sweep(
     rng: SweepRange, extra: Sequence[Composition]
 ) -> list[Composition]:
     count = rng.count()
+    size = "" if rng.max_size is None else f", size <= {rng.max_size}"
+    described = f"the sweep range (length <= {rng.max_length}, parts <= {rng.max_part}{size})"
     if count > MAX_SWEEP:
-        size = "" if rng.max_size is None else f", size <= {rng.max_size}"
         raise ValueError(
-            f"the sweep range (length <= {rng.max_length}, parts <= {rng.max_part}{size}) "
-            f"holds {count} compositions, which exceeds the limit of {MAX_SWEEP} compositions"
+            f"{described} holds {count} compositions, which exceeds the limit of "
+            f"{MAX_SWEEP} compositions"
         )
     comps = list(rng.compositions())
     seen = set(comps)
@@ -123,6 +124,9 @@ def _sweep(
         if a not in seen:
             comps.append(a)
             seen.add(a)
+    if not comps:
+        # a check over no composition proves nothing, so it must not pass
+        raise ValueError(f"{described} holds no composition, and no extra one was given")
     return comps
 
 

@@ -1,8 +1,11 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kohnert.cli as cli
 from kohnert.cli import MAX_CELLS, main, parse_composition
@@ -10,6 +13,7 @@ from kohnert.core import MAX_CLOSURE
 from kohnert.verify import MAX_SWEEP
 
 from golden import LOCK_1021
+from test_cli_fuzz import commands, flatten_argv
 
 
 def run_cli(capsys, *argv):
@@ -277,34 +281,73 @@ def test_bare_double_dash_composition_is_a_usage_error(capsys):
     assert "invalid composition" in capsys.readouterr().err
 
 
+def outcome(argv):
+    """main's exit code, stdout and stderr on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_outcome(argv):
+    """The outcome when the full parser parses ``argv``, as it does for
+    help, unknown commands and errors the top-level parser reports."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_parse", cli._parse_full)
+        return outcome(argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         *([name, "--help"] for name in cli.COMMANDS),
+        *([name, "-h"] for name in cli.COMMANDS),
         ["poly", "--kind", "key"],  # --comp missing
         ["crystal", "--kind", "kkt", "--comp", "1"],  # bad --kind choice
         ["enum", "--kind", "kkt", "--comp=--"],
         ["poly", "--kind", "key", "--comp", "1", "extra"],  # reported by the top-level parser
         ["map", "--comp", "1", "--all", "--input", "t.json"],
+        ["poly", "--ki", "key", "--comp", "1,0,2"],  # abbreviated option
+        ["poly", "--kind=lock", "--comp=0,2,1", "--format=json"],
+        ["map", "--comp=1,0,2", "--all", "--format=json"],
+        ["poly", "--kind", "key", "--comp", "1", "--comp", "0,2"],  # the last --comp wins
+        ["poly", "--kind", "key", "--comp", "1", "--", "x"],
         ["nosuch"],
         ["-h"],
         [],
     ],
 )
-def test_subcommand_parser_matches_full_parser(monkeypatch, capsys, argv):
-    build = cli.build_parser
+def test_subcommand_parser_matches_full_parser(argv):
+    assert outcome(argv) == full_parser_outcome(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=commands, tail=st.sampled_from([[], ["extra"], ["--", "x"], ["-h"], ["--ki=key"]]))
+def test_subcommand_parser_matches_full_parser_on_drawn_arguments(parts, tail):
+    argv = flatten_argv(parts) + tail
+    assert outcome(argv) == full_parser_outcome(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        (["poly", "--kind", "key", "--comp", "1"], False),
+        (["crystal", "-h"], False),
+        (["poly", "--kind", "key"], False),  # the subcommand's own parser reports it
+        (["poly", "--kind", "key", "--comp", "1", "extra"], True),
+        (["nosuch"], True),
+        ([], True),
+    ],
+)
+def test_only_the_full_parser_cases_build_it(monkeypatch, argv, full):
     built = []
-
-    def outcome():
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        return exc.value.code, *capsys.readouterr()
-
-    monkeypatch.setattr(cli, "build_parser", lambda names: built.append(list(names)) or build(names))
-    own = outcome()
-    assert built == [argv[:1] if argv and argv[0] in cli.COMMANDS else list(cli.COMMANDS)]
-    monkeypatch.setattr(cli, "build_parser", lambda names: build())
-    assert outcome() == own
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    outcome(argv)
+    assert built == ([1] if full else [])
 
 
 def test_stdout_byte_stable_across_processes():

@@ -27,6 +27,7 @@ from kohnert import (
     validate_kkt,
     validate_lkt,
 )
+from kohnert.crystal import _raise_rows, match_lines
 
 import reference
 
@@ -140,6 +141,41 @@ def test_moves_pairings_and_rectification_match_definitions(closures):
             expected = reference.horizontal_pairing(cells, i)
             assert (hp.pairs, hp.unpaired_left, hp.unpaired_right) == expected
             assert rectify_move(d, i) == reference.rectify_move(cells, i)
+
+
+def _raised_by_pairing(rows, i):
+    """Raising from the full vertical pairing that ``match_lines`` lists."""
+    lower = rows[i - 1] if i <= len(rows) else 0
+    upper = rows[i] if i < len(rows) else 0
+    _, _, unpaired = match_lines(lower, upper, range((lower | upper).bit_length()))
+    if not unpaired:
+        return None
+    out = list(rows)
+    out[i - 1] |= 1 << unpaired[-1]
+    out[i] ^= 1 << unpaired[-1]
+    while not out[-1]:
+        out.pop()
+    return unpaired[-1] + 1, tuple(out)
+
+
+def test_counted_raising_matches_the_listed_pairing(closures):
+    diagrams = {d for key, lock in closures.values() for d in key + lock}
+    raised = 0
+    for d in diagrams:
+        for i in range(1, len(d.rows) + 2):
+            got = _raise_rows(d.rows, i)
+            assert got == _raised_by_pairing(d.rows, i), (d.cells, i)
+            raised += got is not None
+    assert raised > len(diagrams)
+
+
+@given(
+    st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=5).filter(lambda rows: rows[-1]),
+    st.integers(1, 6),
+)
+def test_counted_raising_matches_the_listed_pairing_on_any_masks(rows, i):
+    rows = tuple(rows)
+    assert _raise_rows(rows, i) == _raised_by_pairing(rows, i)
 
 
 def _perturbations(t, rng):

@@ -20,6 +20,7 @@ from kohnert import (
     kohnert_closure,
     lock_diagram,
     lock_source_tableau,
+    lower_diagram,
     m_statistic,
     raise_diagram,
     rectify,
@@ -265,8 +266,10 @@ def test_apply_unlock_fault_weight_changed(monkeypatch):
     lambda d: m_statistic(d, 0, 1),
     lambda d: m_statistic(d, 1, 0),
     lambda d: horizontal_pairing(d, 0),
+    lambda d: raise_diagram(d, 0),
+    lambda d: lower_diagram(d, 0),
 ], ids=["rectify_move", "rectify", "rectify_by_pairing", "m_statistic_i", "m_statistic_r",
-        "horizontal_pairing"])
+        "horizontal_pairing", "raise_diagram", "lower_diagram"])
 def test_index_zero_is_a_value_error(call, d):
     # "positive" names the guard: a bare index 0 would otherwise fail, if at
     # all, with a negative shift count

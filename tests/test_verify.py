@@ -14,7 +14,7 @@ from kohnert import (
     check_positivity,
     run_checks,
 )
-from kohnert.verify import DEFAULT_RANGE, MAX_SWEEP, _sweep
+from kohnert.verify import ALL_CHECKS, DEFAULT_RANGE, MAX_SWEEP, _sweep
 
 SMALL = SweepRange(max_length=3, max_part=2)
 
@@ -49,6 +49,17 @@ def test_sweep_size_limit():
     with pytest.raises(ValueError, match=f"holds {MAX_SWEEP + 1} compositions, which exceeds the "
                        f"limit of {MAX_SWEEP} compositions"):
         _sweep(over, ())
+
+
+@pytest.mark.parametrize("name", ALL_CHECKS)
+def test_an_empty_sweep_is_refused_not_passed(name):
+    empty = SweepRange(3, 2, max_size=-1)
+    assert empty.count() == 0
+    with pytest.raises(ValueError, match=r"\(length <= 3, parts <= 2, size <= -1\) holds no "
+                       "composition, and no extra one was given"):
+        ALL_CHECKS[name](empty, ())
+    # an extra composition alone is a sweep of one
+    assert ALL_CHECKS[name](empty, ((0, 1),)).compositions_tested == 1
 
 
 def test_positivity_small_range():
