@@ -6,7 +6,6 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
-    composition,
     flatten,
     key_diagram,
     kohnert_closure,

@@ -15,7 +15,7 @@ from typing import Sequence
 from .core import TheoremViolation, key_diagram, kohnert_closure
 from .crystal import crystal_graph
 from .poly import polynomial, render_text
-from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau, validate_lkt
+from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau
 from .unlock import apply_unlock
 from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
 
@@ -134,10 +134,7 @@ def _cmd_map(args) -> int:
     if args.all:
         sources = enumerate_tableaux(args.comp, "lock")
     elif args.input:
-        t = _read_tableau(args.input, args.comp)
-        if not validate_lkt(t, args.comp):
-            raise ValueError(f"input is not a lock Kohnert tableau of content {args.comp}")
-        sources = (t,)
+        sources = (_read_tableau(args.input, args.comp),)
     else:
         sources = (lock_source_tableau(args.comp),)
     results = [(t, *apply_unlock(t, args.comp)) for t in sources]

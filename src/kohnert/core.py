@@ -6,14 +6,13 @@ so results can be cached and shared freely.
 
 A ``Diagram`` is its sorted row-major ``cells`` tuple, which alone defines
 equality, order and hashing, plus a packed copy the algorithms work on:
-``rows[r - 1]`` is the bitmask of row r, bit ``c - 1`` standing for column c,
-and ``cols`` holds the column masks the same way.  Moves, pairings and the
-closure search are bit operations on these masks.  The public constructor and
-``from_json`` sort and validate every cell; the library's own moves build
-results through the trusted constructor ``Diagram._trusted``, which skips
-that work because its input is canonical by construction.  Trusted
-construction is internal only: all input from outside goes through the
-validating paths.
+``rows[r - 1]`` is the bitmask of row r, bit ``c - 1`` standing for column
+c.  Moves, pairings and the closure search are bit operations on these
+masks.  The public constructor and ``from_json`` sort and validate every
+cell; the library's own moves build results through the trusted constructor
+``Diagram._trusted``, which skips that work because its input is canonical
+by construction.  Trusted construction is internal only: all input from
+outside goes through the validating paths.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable
 
 Cell = tuple[int, int]
 Composition = tuple[int, ...]
@@ -44,14 +42,6 @@ class TheoremViolation(Exception):
     rectification, ...).  These abort loudly instead of returning None,
     because None is reserved for legitimately inapplicable operations.
     """
-
-
-def composition(parts: Iterable[int]) -> Composition:
-    """Normalize to a tuple of nonnegative ints; trailing zeros are kept."""
-    comp = tuple(int(p) for p in parts)
-    if any(p < 0 for p in comp):
-        raise ValueError(f"composition parts must be nonnegative, got {comp}")
-    return comp
 
 
 def flatten(a: Composition) -> Composition:
@@ -83,7 +73,6 @@ class Diagram:
 
     cells: tuple[Cell, ...] = ()
     rows: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    _cols: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = tuple(sorted({(int(r), int(c)) for r, c in self.cells}))
@@ -99,21 +88,7 @@ class Diagram:
         d = _new(cls)
         _set(d, "cells", cells)
         _set(d, "rows", rows)
-        _set(d, "_cols", None)
         return d
-
-    @property
-    def cols(self) -> tuple[int, ...]:
-        """Column masks: entry c - 1 has bit r - 1 set per cell (r, c)."""
-        cols = self._cols
-        if cols is None:
-            width = max((mask.bit_length() for mask in self.rows), default=0)
-            cols = [0] * width
-            for r, c in self.cells:
-                cols[c - 1] |= 1 << (r - 1)
-            cols = tuple(cols)
-            _set(self, "_cols", cols)
-        return cols
 
     @property
     def max_row(self) -> int:
@@ -121,7 +96,7 @@ class Diagram:
 
     @property
     def max_col(self) -> int:
-        return len(self.cols)
+        return max((mask.bit_length() for mask in self.rows), default=0)
 
     def __contains__(self, cell: Cell) -> bool:
         r, c = cell
@@ -129,15 +104,6 @@ class Diagram:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def row(self, r: int) -> tuple[Cell, ...]:
-        """Cells in row ``r``, left to right."""
-        return tuple((r, c) for c in bits(self.rows[r - 1])) if 1 <= r <= len(self.rows) else ()
-
-    def column(self, c: int) -> tuple[Cell, ...]:
-        """Cells in column ``c``, bottom to top."""
-        cols = self.cols
-        return tuple((r, c) for r in bits(cols[c - 1])) if 1 <= c <= len(cols) else ()
 
     def move(self, src: Cell, dst: Cell) -> "Diagram":
         """Return a copy with the cell at ``src`` relocated to ``dst``."""

@@ -42,9 +42,8 @@ def horizontal_pairing(d: Diagram, i: int) -> HorizontalPairing:
     everything between is already paired."""
     if i < 1:
         raise ValueError("column index must be positive")
-    cols = d.cols
-    left = cols[i - 1] if i <= len(cols) else 0
-    right = cols[i] if i < len(cols) else 0
+    left = sum((mask >> (i - 1) & 1) << p for p, mask in enumerate(d.rows))
+    right = sum((mask >> i & 1) << p for p, mask in enumerate(d.rows))
     # bit position p stands for row p + 1; read top to bottom
     pairs, unpaired_left, unpaired_right = match_lines(
         left, right, range((left | right).bit_length() - 1, -1, -1)
@@ -61,9 +60,7 @@ def m_statistic(d: Diagram, i: int, r: int) -> int:
     """Boxes of column i+1 at or above row r, minus the same for column i."""
     if i < 1 or r < 1:
         raise ValueError("indices must be positive")
-    right = sum(1 for s, _ in d.column(i + 1) if s >= r)
-    left = sum(1 for s, _ in d.column(i) if s >= r)
-    return right - left
+    return sum((mask >> i & 1) - (mask >> (i - 1) & 1) for mask in d.rows[r - 1:])
 
 
 def _surplus_peak(rows: list[int] | tuple[int, ...], i: int) -> tuple[int, int]:

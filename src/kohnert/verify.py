@@ -263,27 +263,28 @@ def check_agreement_and_truncation(
                 if move is None:
                     break
                 full = full.move(*move)
-            for p in range(1, len(labels)):
-                for bound in labels:
-                    if bound <= labels[p - 1]:
-                        continue
-                    small = truncate_below(t, bound).diagram
-                    for s in range(ends[p - 1]):
-                        idx = longest[s]
-                        move_full = moves[s]
-                        move_small = rectify_move(small, idx)
-                        if move_full != move_small:
-                            return (
-                                f"truncation below {bound} changes step {s} "
-                                f"(index {idx}) on {t.entries}: "
-                                f"{move_small} vs {move_full}"
-                            )
-                        if move_full is None:
-                            return (
-                                f"rectification vanished at prefix step {s} "
-                                f"(index {idx}) on {t.entries}"
-                            )
-                        small = small.move(*move_small)
+            for q in range(1, len(labels)):
+                # truncating below labels[q] must keep the first p blocks' moves
+                # for every p <= q; each of those prefixes starts this walk over
+                # the first q blocks, so one walk covers them all
+                bound = labels[q]
+                small = truncate_below(t, bound).diagram
+                for s in range(ends[q - 1]):
+                    idx = longest[s]
+                    move_full = moves[s]
+                    move_small = rectify_move(small, idx)
+                    if move_full != move_small:
+                        return (
+                            f"truncation below {bound} changes step {s} "
+                            f"(index {idx}) on {t.entries}: "
+                            f"{move_small} vs {move_full}"
+                        )
+                    if move_full is None:
+                        return (
+                            f"rectification vanished at prefix step {s} "
+                            f"(index {idx}) on {t.entries}"
+                        )
+                    small = small.move(*move_small)
         return None
 
     return _run("agreement+truncation", rng, extra, fn)

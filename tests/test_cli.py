@@ -121,6 +121,15 @@ def test_map_input_not_a_lock_tableau(tmp_path, capsys):
     assert "lock Kohnert tableau" in err
 
 
+def test_map_input_that_is_not_a_lock_tableau_is_an_input_error(tmp_path, capsys):
+    # the cells of a lock tableau of content (1, 0, 2, 1), with labels 3 and 4 swapped
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps([[1, 2, 1], [3, 1, 4], [3, 2, 4], [4, 2, 3]]))
+    code, out, err = run_cli(capsys, "map", "--comp", "1,0,2,1", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err == "error: input is not a lock Kohnert tableau of content (1, 0, 2, 1)\n"
+
+
 def test_map_input_rejects_json_booleans(tmp_path, capsys):
     src = tmp_path / "t.json"
     src.write_text("[[1, 1, true]]")

@@ -71,7 +71,7 @@ def test_vertical_pairing_partitions_both_rows():
         seen = set(lower) | set(upper)
         for low, up in pairs:
             seen.update((low, up))
-        expected = set(VPAIR_DIAGRAM.row(i)) | set(VPAIR_DIAGRAM.row(i + 1))
+        expected = {cell for cell in VPAIR_DIAGRAM.cells if cell[0] in (i, i + 1)}
         assert seen == expected
 
 

@@ -181,3 +181,19 @@ def test_agreement_catches_wrong_truncation(monkeypatch):
     report = check_agreement_and_truncation(SweepRange(0, 0), ((0, 2, 3),))
     assert [a for a, _ in report.failures] == [(0, 2, 3)]
     assert report.failures[0][1].startswith("truncation below 3 changes step 0 ")
+
+
+def test_agreement_walks_past_the_first_block(monkeypatch):
+    import kohnert.verify as verify
+
+    # a wrong cut below 3 alone shows first at step 2, past the first block of
+    # (1, 2, 3), which ends after step 1: a walk cut short there misses it
+    truncate_below = verify.truncate_below
+    monkeypatch.setattr(
+        verify,
+        "truncate_below",
+        lambda t, bound: truncate_below(t, bound - 1 if bound == 3 else bound),
+    )
+    report = check_agreement_and_truncation(SweepRange(0, 0), ((1, 2, 3),))
+    assert [a for a, _ in report.failures] == [(1, 2, 3)]
+    assert report.failures[0][1].startswith("truncation below 3 changes step 2 (index 1) on ")
