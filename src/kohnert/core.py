@@ -166,13 +166,21 @@ def padded_weight(d: Diagram, n: int) -> Composition:
     return w + (0,) * (n - len(w))
 
 
+def _check_parts(a: Composition) -> None:
+    """Raise ValueError unless every part of ``a`` is a nonnegative int."""
+    if not all(isinstance(part, int) and part >= 0 for part in a):
+        raise ValueError(f"a weak composition has nonnegative integer parts, got {a}")
+
+
 def key_diagram(a: Composition) -> Diagram:
     """The unique left-justified diagram of weight ``a``."""
+    _check_parts(a)
     return Diagram(tuple((i + 1, c) for i, part in enumerate(a) for c in range(1, part + 1)))
 
 
 def lock_diagram(a: Composition) -> Diagram:
     """The unique right-justified diagram of weight ``a``."""
+    _check_parts(a)
     m = max(a, default=0)
     return Diagram(
         tuple((i + 1, c) for i, part in enumerate(a) for c in range(m - part + 1, m + 1))

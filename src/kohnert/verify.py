@@ -1,8 +1,9 @@
-"""Theorem-level checkers sweeping composition ranges, with witnesses.
+"""Theorem-level checks swept over composition ranges, with witnesses.
 
-Each checker folds a predicate over every composition in range and records
-the first failing witness per composition.  A report with no failures means
-the swept statement held everywhere.
+Each check is a function of one composition that returns the first failing
+witness, or None when its statement holds there.  ``run_checks`` runs every
+composition in range through each named check and gathers one report per
+check.  A report with no failures means the swept statement held everywhere.
 """
 
 from __future__ import annotations
@@ -130,43 +131,15 @@ def _sweep(
     return comps
 
 
-def _run(
-    name: str,
-    rng: SweepRange,
-    extra: Sequence[Composition],
-    fn: Callable[[Composition], str | None],
-) -> VerificationReport:
-    comps = _sweep(rng, extra)
-    failures = []
-    start = time.perf_counter()
-    for a in comps:
-        try:
-            witness = fn(a)
-        except TheoremViolation as exc:  # a checker reports, it does not crash
-            witness = str(exc)
-        if witness is not None:
-            failures.append((a, witness))
-    elapsed = time.perf_counter() - start
-    return VerificationReport(name, len(comps), tuple(failures), elapsed)
-
-
-def check_positivity(
-    rng: SweepRange = DEFAULT_RANGE, extra: Sequence[Composition] = SPOT_COMPOSITIONS
-) -> VerificationReport:
+def check_positivity(a: Composition) -> str | None:
     """Key minus lock is monomial positive."""
-
-    def fn(a: Composition) -> str | None:
-        diff = subtract(key_polynomial(a), lock_polynomial(a))
-        if not is_monomial_positive(diff):
-            return f"key - lock has a negative term: {diff}"
-        return None
-
-    return _run("positivity", rng, extra, fn)
+    diff = subtract(key_polynomial(a), lock_polynomial(a))
+    if not is_monomial_positive(diff):
+        return f"key - lock has a negative term: {diff}"
+    return None
 
 
-def check_intertwining(
-    rng: SweepRange = DEFAULT_RANGE, extra: Sequence[Composition] = SPOT_COMPOSITIONS
-) -> VerificationReport:
+def check_intertwining(a: Composition) -> str | None:
     """Unlock intertwines the crystal operators: every lock edge (u, v, i)
     maps to the key edge (unlock u, unlock v, i).
 
@@ -174,128 +147,117 @@ def check_intertwining(
     tested once against the key crystal's edge set.  An edge stands for
     raising read from v and lowering read from u, so this covers both.
     """
-
-    def fn(a: Composition) -> str | None:
-        images = dict(unlock_map(a))
-        lock = crystal_graph(a, "lock")
-        key = crystal_graph(a, "key")
-        index = {v: k for k, v in enumerate(key.vertices)}
-        key_edges = set(key.edges)
-        for u, v, color in lock.edges:
-            # an image outside the key crystal has no index, so its edge is missing
-            src = index.get(images[lock.vertices[u]])
-            dst = index.get(images[lock.vertices[v]])
-            if (src, dst, color) not in key_edges:
-                return f"raising color {color} fails on {lock.vertices[v].entries}"
-        return None
-
-    return _run("intertwining", rng, extra, fn)
+    images = dict(unlock_map(a))
+    lock = crystal_graph(a, "lock")
+    key = crystal_graph(a, "key")
+    index = {v: k for k, v in enumerate(key.vertices)}
+    key_edges = set(key.edges)
+    for u, v, color in lock.edges:
+        # an image outside the key crystal has no index, so its edge is missing
+        src = index.get(images[lock.vertices[u]])
+        dst = index.get(images[lock.vertices[v]])
+        if (src, dst, color) not in key_edges:
+            return f"raising color {color} fails on {lock.vertices[v].entries}"
+    return None
 
 
-def check_connectivity(
-    rng: SweepRange = DEFAULT_RANGE, extra: Sequence[Composition] = SPOT_COMPOSITIONS
-) -> VerificationReport:
+def check_connectivity(a: Composition) -> str | None:
     """Lock crystals (and key crystals) are connected."""
-
-    def fn(a: Composition) -> str | None:
-        for kind in ("lock", "key"):
-            if not is_connected(crystal_graph(a, kind)):
-                return f"{kind} crystal is disconnected"
-        return None
-
-    return _run("connectivity", rng, extra, fn)
+    for kind in ("lock", "key"):
+        if not is_connected(crystal_graph(a, kind)):
+            return f"{kind} crystal is disconnected"
+    return None
 
 
-def check_characterizations(
-    rng: SweepRange = DEFAULT_RANGE, extra: Sequence[Composition] = SPOT_COMPOSITIONS
-) -> VerificationReport:
+def check_characterizations(a: Composition) -> str | None:
     """Polynomial-side symmetry tests match the shape-side predicates,
     with the Schur and lock-equals-key identities in their special cases."""
-
-    def fn(a: Composition) -> str | None:
-        profile = classify_symmetry(a)
-        kp = key_polynomial(a)
-        lp = lock_polynomial(a)
-        facts = (
-            ("key symmetric", is_symmetric(kp), profile.key_sym),
-            ("key quasisymmetric", is_quasisymmetric(kp), profile.key_qsym),
-            ("lock symmetric", is_symmetric(lp), profile.lock_sym),
-            ("lock quasisymmetric", is_quasisymmetric(lp), profile.lock_qsym),
-        )
-        for name, poly_side, shape_side in facts:
-            if poly_side != shape_side:
-                return f"{name}: polynomial says {poly_side}, shape says {shape_side}"
-        if profile.key_sym and kp != schur_polynomial(tuple(reversed(a)), len(a)):
-            return "key polynomial of increasing content is not the reversed-shape Schur"
-        if profile.lock_sym:
-            shape = tuple(sorted((p for p in a if p > 0), reverse=True))
-            if lp != schur_polynomial(shape, len(a)):
-                return "symmetric lock polynomial is not the rectangular Schur"
-        nonzero = [p for p in a if p > 0]
-        if all(nonzero[i] >= nonzero[i + 1] for i in range(len(nonzero) - 1)) and lp != kp:
-            return "decreasing nonzero parts but lock != key"
-        return None
-
-    return _run("characterizations", rng, extra, fn)
+    profile = classify_symmetry(a)
+    kp = key_polynomial(a)
+    lp = lock_polynomial(a)
+    facts = (
+        ("key symmetric", is_symmetric(kp), profile.key_sym),
+        ("key quasisymmetric", is_quasisymmetric(kp), profile.key_qsym),
+        ("lock symmetric", is_symmetric(lp), profile.lock_sym),
+        ("lock quasisymmetric", is_quasisymmetric(lp), profile.lock_qsym),
+    )
+    for name, poly_side, shape_side in facts:
+        if poly_side != shape_side:
+            return f"{name}: polynomial says {poly_side}, shape says {shape_side}"
+    if profile.key_sym and kp != schur_polynomial(tuple(reversed(a)), len(a)):
+        return "key polynomial of increasing content is not the reversed-shape Schur"
+    if profile.lock_sym:
+        shape = tuple(sorted((p for p in a if p > 0), reverse=True))
+        if lp != schur_polynomial(shape, len(a)):
+            return "symmetric lock polynomial is not the rectangular Schur"
+    nonzero = [p for p in a if p > 0]
+    if all(nonzero[i] >= nonzero[i + 1] for i in range(len(nonzero) - 1)) and lp != kp:
+        return "decreasing nonzero parts but lock != key"
+    return None
 
 
-def check_agreement_and_truncation(
-    rng: SweepRange = DEFAULT_RANGE, extra: Sequence[Composition] = SPOT_COMPOSITIONS
-) -> VerificationReport:
+def check_agreement_and_truncation(a: Composition) -> str | None:
     """Unlock agrees with rectification stepwise (asserted inside
     apply_unlock), and truncating away large labels never changes which
     cell a prefix rectification step moves."""
-
-    def fn(a: Composition) -> str | None:
-        unlock_image(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
-        labels = [i + 1 for i, p in enumerate(a) if p > 0]
-        groups = schedule_groups(tuple(p for p in a if p > 0))
-        ends = list(itertools.accumulate(len(block) for block in groups[:-1]))
-        longest = [idx for block in groups[:-1] for idx in block]
-        for t in enumerate_tableaux(a, "lock"):
-            # the untruncated diagram's moves along the longest prefix, up to
-            # the first None; every shorter prefix reads its start
-            moves = []
-            full = t.diagram
-            for idx in longest:
-                move = rectify_move(full, idx)
-                moves.append(move)
-                if move is None:
-                    break
-                full = full.move(*move)
-            for q in range(1, len(labels)):
-                # truncating below labels[q] must keep the first p blocks' moves
-                # for every p <= q; each of those prefixes starts this walk over
-                # the first q blocks, so one walk covers them all
-                bound = labels[q]
-                small = truncate_below(t, bound).diagram
-                for s in range(ends[q - 1]):
-                    idx = longest[s]
-                    move_full = moves[s]
-                    move_small = rectify_move(small, idx)
-                    if move_full != move_small:
-                        return (
-                            f"truncation below {bound} changes step {s} "
-                            f"(index {idx}) on {t.entries}: "
-                            f"{move_small} vs {move_full}"
-                        )
-                    if move_full is None:
-                        return (
-                            f"rectification vanished at prefix step {s} "
-                            f"(index {idx}) on {t.entries}"
-                        )
-                    small = small.move(*move_small)
-        return None
-
-    return _run("agreement+truncation", rng, extra, fn)
+    unlock_image(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
+    labels = [i + 1 for i, p in enumerate(a) if p > 0]
+    groups = schedule_groups(tuple(p for p in a if p > 0))
+    ends = list(itertools.accumulate(len(block) for block in groups[:-1]))
+    longest = [idx for block in groups[:-1] for idx in block]
+    for t in enumerate_tableaux(a, "lock"):
+        # the untruncated diagram's moves along the longest prefix, up to
+        # the first None; every shorter prefix reads its start
+        moves = []
+        full = t.diagram
+        for idx in longest:
+            move = rectify_move(full, idx)
+            moves.append(move)
+            if move is None:
+                break
+            full = full.move(*move)
+        for q in range(1, len(labels)):
+            # truncating below labels[q] must keep the first p blocks' moves
+            # for every p <= q; each of those prefixes starts this walk over
+            # the first q blocks, so one walk covers them all
+            bound = labels[q]
+            small = truncate_below(t, bound).diagram
+            for s in range(ends[q - 1]):
+                idx = longest[s]
+                move_full = moves[s]
+                move_small = rectify_move(small, idx)
+                if move_full != move_small:
+                    return (
+                        f"truncation below {bound} changes step {s} "
+                        f"(index {idx}) on {t.entries}: "
+                        f"{move_small} vs {move_full}"
+                    )
+                if move_full is None:
+                    return (
+                        f"rectification vanished at prefix step {s} "
+                        f"(index {idx}) on {t.entries}"
+                    )
+                small = small.move(*move_small)
+    return None
 
 
-ALL_CHECKS: dict[str, Callable[..., VerificationReport]] = {
+#: Each ``verify --check`` name and its check.  ``run_checks`` looks a check up
+#: here on every call, so a wrapper put in its place is the one that runs.
+ALL_CHECKS: dict[str, Callable[[Composition], str | None]] = {
     "positivity": check_positivity,
     "intertwine": check_intertwining,
     "connected": check_connectivity,
     "characterize": check_characterizations,
     "agreement": check_agreement_and_truncation,
+}
+
+#: The name each check's report goes under.
+REPORT_NAMES = {
+    "positivity": "positivity",
+    "intertwine": "intertwining",
+    "connected": "connectivity",
+    "characterize": "characterizations",
+    "agreement": "agreement+truncation",
 }
 
 
@@ -304,4 +266,31 @@ def run_checks(
     rng: SweepRange = DEFAULT_RANGE,
     extra: Sequence[Composition] = SPOT_COMPOSITIONS,
 ) -> list[VerificationReport]:
-    return [ALL_CHECKS[name](rng, extra) for name in names]
+    """Run each composition of the sweep through every named check.
+
+    Reports come in the order of ``names``, each with its failures in
+    composition order and the summed time of its own calls.  A
+    TheoremViolation a check raises is that check's witness.  Unknown names
+    raise ValueError before any composition runs.
+    """
+    names = list(names)
+    unknown = [name for name in dict.fromkeys(names) if name not in ALL_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; the known checks are {list(ALL_CHECKS)}")
+    comps = _sweep(rng, extra)
+    failures: list[list[tuple[Composition, str]]] = [[] for _ in names]
+    elapsed = [0.0] * len(names)
+    for a in comps:
+        for k, name in enumerate(names):
+            start = time.perf_counter()
+            try:
+                witness = ALL_CHECKS[name](a)
+            except TheoremViolation as exc:  # a check reports, it does not crash
+                witness = str(exc)
+            elapsed[k] += time.perf_counter() - start
+            if witness is not None:
+                failures[k].append((a, witness))
+    return [
+        VerificationReport(REPORT_NAMES[name], len(comps), tuple(failures[k]), elapsed[k])
+        for k, name in enumerate(names)
+    ]

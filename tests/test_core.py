@@ -3,11 +3,15 @@ from hypothesis import given, strategies as st
 
 from kohnert import (
     Diagram,
+    crystal_graph,
+    enumerate_tableaux,
     flatten,
     key_diagram,
     kohnert_closure,
     lock_diagram,
     padded_weight,
+    polynomial,
+    unlock_map,
     weight,
 )
 
@@ -55,6 +59,27 @@ def test_key_and_lock_diagrams_have_weight_a(a):
     n = len(a)
     assert padded_weight(key_diagram(a), n) == a
     assert padded_weight(lock_diagram(a), n) == a
+
+
+BUILDERS = {
+    "key_diagram": key_diagram,
+    "lock_diagram": lock_diagram,
+    "enumerate_key": lambda a: enumerate_tableaux(a, "key"),
+    "enumerate_lock": lambda a: enumerate_tableaux(a, "lock"),
+    "polynomial_key": lambda a: polynomial(a, "key"),
+    "polynomial_lock": lambda a: polynomial(a, "lock"),
+    "crystal_key": lambda a: crystal_graph(a, "key"),
+    "crystal_lock": lambda a: crystal_graph(a, "lock"),
+    "unlock_map": unlock_map,
+}
+
+
+@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5, 1)])
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_a_part_that_is_negative_or_not_an_int_is_a_value_error(build, a):
+    # bad input, not a failed theorem: no TheoremViolation, no TypeError
+    with pytest.raises(ValueError, match=r"nonnegative integer parts, got \("):
+        build(a)
 
 
 def test_kohnert_move_single_cell_falls():

@@ -8,13 +8,11 @@ from kohnert import (
     SweepRange,
     VerificationReport,
     check_agreement_and_truncation,
-    check_characterizations,
-    check_connectivity,
     check_intertwining,
-    check_positivity,
     run_checks,
 )
-from kohnert.verify import ALL_CHECKS, DEFAULT_RANGE, MAX_SWEEP, _sweep
+from kohnert.core import TheoremViolation
+from kohnert.verify import ALL_CHECKS, DEFAULT_RANGE, MAX_SWEEP, REPORT_NAMES, _sweep
 
 SMALL = SweepRange(max_length=3, max_part=2)
 
@@ -57,36 +55,37 @@ def test_an_empty_sweep_is_refused_not_passed(name):
     assert empty.count() == 0
     with pytest.raises(ValueError, match=r"\(length <= 3, parts <= 2, size <= -1\) holds no "
                        "composition, and no extra one was given"):
-        ALL_CHECKS[name](empty, ())
+        run_checks([name], empty, ())
     # an extra composition alone is a sweep of one
-    assert ALL_CHECKS[name](empty, ((0, 1),)).compositions_tested == 1
+    [report] = run_checks([name], empty, ((0, 1),))
+    assert report.compositions_tested == 1
 
 
 def test_positivity_small_range():
-    report = check_positivity(SMALL, ())
+    [report] = run_checks(["positivity"], SMALL, ())
     assert report.passed
     assert report.compositions_tested == 40
 
 
 def test_intertwining_small_range():
-    assert check_intertwining(SMALL, ()).passed
+    assert run_checks(["intertwine"], SMALL, ())[0].passed
 
 
 def test_connectivity_small_range():
-    assert check_connectivity(SMALL, ()).passed
+    assert run_checks(["connected"], SMALL, ())[0].passed
 
 
 def test_characterizations_small_range():
-    assert check_characterizations(SMALL, ()).passed
+    assert run_checks(["characterize"], SMALL, ())[0].passed
 
 
 def test_agreement_and_truncation_small_range():
-    assert check_agreement_and_truncation(SMALL, ()).passed
+    assert run_checks(["agreement"], SMALL, ())[0].passed
 
 
 def test_spot_compositions_included_once():
     rng = SweepRange(max_length=3, max_part=3)
-    report = check_positivity(rng, SPOT_COMPOSITIONS)
+    [report] = run_checks(["positivity"], rng, SPOT_COMPOSITIONS)
     base = sum(1 for _ in rng.compositions())
     in_range = sum(1 for a in SPOT_COMPOSITIONS if len(a) <= 3 and max(a) <= 3)
     assert report.compositions_tested == base + len(SPOT_COMPOSITIONS) - in_range
@@ -98,7 +97,7 @@ def test_run_checks_order_and_names():
 
 
 def test_report_json_shape():
-    report = check_positivity(SweepRange(1, 1), ())
+    [report] = run_checks(["positivity"], SweepRange(1, 1), ())
     data = report.to_json()
     assert data["check"] == "positivity"
     assert data["failures"] == []
@@ -126,9 +125,7 @@ def test_intertwining_catches_swapped_images(monkeypatch):
         return tuple(pairs)
 
     monkeypatch.setattr(verify, "unlock_map", swapped)
-    report = check_intertwining(SweepRange(0, 0), ((1, 0, 2, 1),))
-    assert [a for a, _ in report.failures] == [(1, 0, 2, 1)]
-    assert report.failures[0][1].startswith("raising color ")
+    assert check_intertwining((1, 0, 2, 1)).startswith("raising color ")
 
 
 def test_intertwining_catches_a_missing_key_edge(monkeypatch):
@@ -151,8 +148,7 @@ def test_intertwining_catches_a_missing_key_edge(monkeypatch):
         "crystal_graph",
         lambda b, kind: thinned if (b, kind) == (a, "key") else original(b, kind),
     )
-    report = check_intertwining(SweepRange(0, 0), (a,))
-    assert report.failures == ((a, f"raising color {color} fails on {lock.vertices[v].entries}"),)
+    assert check_intertwining(a) == f"raising color {color} fails on {lock.vertices[v].entries}"
 
 
 def test_intertwining_catches_an_image_outside_the_key_crystal(monkeypatch):
@@ -169,8 +165,7 @@ def test_intertwining_catches_an_image_outside_the_key_crystal(monkeypatch):
         "unlock_map",
         lambda b: tuple((t, stray if t == stray else img) for t, img in original(b)),
     )
-    report = check_intertwining(SweepRange(0, 0), (a,))
-    assert report.failures == ((a, f"raising color {color} fails on {stray.entries}"),)
+    assert check_intertwining(a) == f"raising color {color} fails on {stray.entries}"
 
 
 def test_agreement_catches_wrong_truncation(monkeypatch):
@@ -178,9 +173,7 @@ def test_agreement_catches_wrong_truncation(monkeypatch):
 
     truncate_below = verify.truncate_below
     monkeypatch.setattr(verify, "truncate_below", lambda t, bound: truncate_below(t, bound - 1))
-    report = check_agreement_and_truncation(SweepRange(0, 0), ((0, 2, 3),))
-    assert [a for a, _ in report.failures] == [(0, 2, 3)]
-    assert report.failures[0][1].startswith("truncation below 3 changes step 0 ")
+    assert check_agreement_and_truncation((0, 2, 3)).startswith("truncation below 3 changes step 0 ")
 
 
 def test_agreement_walks_past_the_first_block(monkeypatch):
@@ -194,6 +187,74 @@ def test_agreement_walks_past_the_first_block(monkeypatch):
         "truncate_below",
         lambda t, bound: truncate_below(t, bound - 1 if bound == 3 else bound),
     )
-    report = check_agreement_and_truncation(SweepRange(0, 0), ((1, 2, 3),))
-    assert [a for a, _ in report.failures] == [(1, 2, 3)]
-    assert report.failures[0][1].startswith("truncation below 3 changes step 2 (index 1) on ")
+    witness = check_agreement_and_truncation((1, 2, 3))
+    assert witness.startswith("truncation below 3 changes step 2 (index 1) on ")
+
+
+def test_every_check_has_a_report_name():
+    assert REPORT_NAMES.keys() == ALL_CHECKS.keys()
+
+
+@pytest.mark.parametrize(
+    "names, unknown", [(["positivity", "nosuch"], "'nosuch'"), ("positivity", "'p'")]
+)
+def test_unknown_check_names_are_refused_before_any_composition_runs(monkeypatch, names, unknown):
+    import kohnert.verify as verify
+
+    ran = []
+    monkeypatch.setitem(verify.ALL_CHECKS, "positivity", ran.append)
+    with pytest.raises(ValueError) as info:
+        run_checks(names, SMALL, ())
+    message = str(info.value)
+    assert unknown in message
+    assert all(repr(name) in message for name in ALL_CHECKS)
+    assert ran == []
+
+
+def _planted(monkeypatch):
+    """Wrap every check to log its calls; "connected" fails on (1, 0) and
+    (0, 1), and "characterize" raises a TheoremViolation on (1, 1)."""
+    import kohnert.verify as verify
+
+    calls = []
+
+    def wrap(name, check):
+        def planted(a):
+            calls.append((name, a))
+            if name == "connected" and a in {(1, 0), (0, 1)}:
+                return f"planted on {a}"
+            if name == "characterize" and a == (1, 1):
+                raise TheoremViolation("planted violation")
+            return check(a)
+        return planted
+
+    for name, check in list(verify.ALL_CHECKS.items()):
+        monkeypatch.setitem(verify.ALL_CHECKS, name, wrap(name, check))
+    return calls
+
+
+def test_one_sweep_over_all_checks_equals_one_sweep_per_check(monkeypatch):
+    _planted(monkeypatch)
+    rng = SweepRange(2, 1)
+    together = run_checks(ALL_CHECKS, rng, ((0, 3, 2),))
+    alone = [report for name in ALL_CHECKS for report in run_checks([name], rng, ((0, 3, 2),))]
+    assert [(r.check, r.compositions_tested, r.failures) for r in together] == [
+        (r.check, r.compositions_tested, r.failures) for r in alone
+    ]
+    assert [r.passed for r in together] == [True, True, False, False, True]
+
+
+def test_reports_follow_the_names_and_witnesses_the_compositions(monkeypatch):
+    calls = _planted(monkeypatch)
+    names = ["agreement", "characterize", "connected", "positivity"]
+    reports = run_checks(names, SweepRange(2, 1), ())
+    assert [r.check for r in reports] == [REPORT_NAMES[name] for name in names]
+    assert [r.check for r in reports] == [
+        "agreement+truncation", "characterizations", "connectivity", "positivity"
+    ]
+    assert reports[2].failures == (((0, 1), "planted on (0, 1)"), ((1, 0), "planted on (1, 0)"))
+    # the violation is the witness, and the checks after it still ran there
+    assert reports[1].failures == (((1, 1), "planted violation"),)
+    assert [name for name, a in calls if a == (1, 1)] == names
+    assert reports[0].passed and reports[3].passed
+    assert all(r.compositions_tested == 7 and r.elapsed_s >= 0 for r in reports)
