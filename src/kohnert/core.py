@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import attrgetter
 
 Cell = tuple[int, int]
@@ -170,6 +170,25 @@ def _check_parts(a: Composition) -> None:
     """Raise ValueError unless every part of ``a`` is a nonnegative int."""
     if not all(isinstance(part, int) and part >= 0 for part in a):
         raise ValueError(f"a weak composition has nonnegative integer parts, got {a}")
+
+
+def cached_on_composition(fn):
+    """``lru_cache(maxsize=None)`` for a function whose first argument is a
+    weak composition, with ``_check_parts`` run before the lookup: the cache
+    keys by equality, so (1, 2.0) would otherwise get (1, 2)'s answer once
+    that is cached, where a cold call raises.  The result keeps
+    ``cache_info``, ``cache_clear`` and ``__wrapped__`` (the uncached
+    function)."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def checked(a, *args):
+        _check_parts(a)
+        return cached(a, *args)
+
+    checked.cache_info = cached.cache_info
+    checked.cache_clear = cached.cache_clear
+    return checked
 
 
 def key_diagram(a: Composition) -> Diagram:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import Composition, Diagram, TheoremViolation
+from .core import Composition, Diagram, TheoremViolation, cached_on_composition
 from .tableaux import (
     LabeledDiagram,
     enumerate_tableaux,
@@ -212,7 +211,7 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
+@cached_on_composition
 def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     """Build the key or lock crystal of content ``a``.
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .core import Composition, padded_weight
+from .core import Composition, cached_on_composition, padded_weight
 from .tableaux import enumerate_tableaux
 
 ExponentVector = tuple[int, ...]
@@ -97,7 +96,7 @@ def is_monomial_positive(p: SparsePolynomial) -> bool:
     return all(coef > 0 for _, coef in p.terms)
 
 
-@lru_cache(maxsize=None)
+@cached_on_composition
 def polynomial(a: Composition, kind: str) -> SparsePolynomial:
     """Generating polynomial of the key or lock Kohnert tableaux of content ``a``."""
     counts = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_tableaux(a, kind))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .core import (
     Cell,
@@ -18,6 +19,7 @@ from .core import (
     Diagram,
     TheoremViolation,
     _masks,
+    cached_on_composition,
     flatten,
     grid_ascii,
     key_diagram,
@@ -175,7 +177,8 @@ def validate_lkt(t: LabeledDiagram, a: Composition) -> bool:
 def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
     """The key Kohnert tableau labeling of ``d`` with content ``a``, or None.
 
-    Label i fills columns 1..a_i, so only the order within each column is
+    Label i fills columns 1..a_i, so each column's label set is forced
+    (``_column_labels``, once per content) and only the order within it is
     free, and a direct rule picks it.  Columns go right to left, each
     column's cells bottom to top, and the cell at row r takes the smallest
     unused label l of its column that passes the flag (l >= r), descent (l's
@@ -185,27 +188,35 @@ def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
     tableau conditions.  None when a column's cell count differs from its
     label count, a cell finds no label, or the conditions fail.
     """
-    width = max(a, default=0)
-    col_cells = [[] for _ in range(width)]  # per column, bottom up: (k, row of d.cells[k])
+    col_labels = _column_labels(a, "key")
+    width = len(col_labels)
+    col_cells = [[] for _ in col_labels]  # per column, bottom up: (k, row of d.cells[k])
     for k, (r, c) in enumerate(d.cells):
         if c > width:
             return None
         col_cells[c - 1].append((k, r))
     labels = [0] * len(d.cells)
     row = [0] * (len(a) + 1)  # row[l]: l's row in the last column filled, 0 if none
-    for c in range(width, 0, -1):
-        free = [l for l, part in enumerate(a, 1) if part >= c]
-        if len(free) != len(col_cells[c - 1]):
+    for cells, free in zip(reversed(col_cells), reversed(col_labels)):
+        if len(free) != len(cells):
             return None
-        top = [0] * len(row)  # top[l]: highest row so far of a larger label in this column
-        for k, r in col_cells[c - 1]:
-            for l in free:  # an unused label's row is still its row in column c + 1
-                if l >= r and row[l] <= r and not 0 < top[l] >= row[l]:
-                    break
+        free = list(free)
+        placed = []  # this column's labels so far, bottom up, so rows ascend
+        for k, r in cells:
+            for l in free:  # an unused label's row is still its row in the column to the right
+                nxt = row[l]
+                if l >= r and nxt <= r:
+                    for g in reversed(placed):  # the highest larger label below
+                        if g > l:
+                            break
+                    else:  # none: no inversion to check
+                        break
+                    if row[g] < nxt:  # l reappears strictly above g to the right
+                        break
             else:
                 return None
             free.remove(l)
-            top[:l] = [r] * l  # rows ascend, so r is now the highest for each smaller label
+            placed.append(l)
             row[l] = r
             labels[k] = l
     t = LabeledDiagram._trusted(tuple(zip(d.cells, labels)), d)
@@ -213,22 +224,27 @@ def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
 
 
 @lru_cache(maxsize=1024)
-def _lock_column_labels(a: Composition) -> tuple[tuple[int, ...], ...]:
-    """Per column, the labels a lock tableau of content ``a`` holds there,
-    smallest first: label l fills columns m - a_l + 1 .. m, m = max(a)."""
+def _column_labels(a: Composition, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Per column, the labels a key or lock tableau of content ``a`` holds
+    there, smallest first: label l fills columns 1 .. a_l of a key and
+    m - a_l + 1 .. m of a lock, m = max(a)."""
     m = max(a, default=0)
-    return tuple(tuple(l for l, part in enumerate(a, 1) if part >= m - c) for c in range(m))
+    lock = is_lock(kind)
+    return tuple(
+        tuple(l for l, part in enumerate(a, 1) if part >= (m - c if lock else c + 1))
+        for c in range(m)
+    )
 
 
 def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
     """Find the lock Kohnert tableau labeling of ``d`` with content ``a``.
 
-    Closed form: each column's label set is forced (``_lock_column_labels``,
+    Closed form: each column's label set is forced (``_column_labels``,
     once per content), and strict column decrease forces their order
     (largest label on top).  The remaining
     flagged and descent conditions are then checked.
     """
-    col_labels = _lock_column_labels(a)
+    col_labels = _column_labels(a, "lock")
     m = len(col_labels)
     filled = [0] * m  # cells met so far in each column, bottom up
     entries = []
@@ -257,10 +273,11 @@ def is_lock(kind: str) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@cached_on_composition
 def enumerate_tableaux(a: Composition, kind: str) -> tuple[LabeledDiagram, ...]:
     """All key or lock Kohnert tableaux of content ``a``, in canonical order:
-    the labelings of the Kohnert closure of the key or lock diagram."""
+    the labelings of the Kohnert closure of the key or lock diagram.  The
+    order is the dataclass order, sorted by ``entries`` to compare in C."""
     seed, label = (lock_diagram, label_lock) if is_lock(kind) else (key_diagram, label_key)
     out = []
     for d in kohnert_closure(seed(a)):
@@ -268,7 +285,7 @@ def enumerate_tableaux(a: Composition, kind: str) -> tuple[LabeledDiagram, ...]:
         if t is None:
             raise TheoremViolation(f"closure diagram {d.cells} of {a} has no {kind} labeling")
         out.append(t)
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=attrgetter("entries")))
 
 
 def enumerate_kkt(a: Composition) -> tuple[LabeledDiagram, ...]:

@@ -19,6 +19,7 @@ from .core import (
     Diagram,
     TheoremViolation,
     bits,
+    cached_on_composition,
     flatten,
     weight,
 )
@@ -341,7 +342,7 @@ def _cells(rows: list[int]) -> tuple[Cell, ...]:
     return tuple((r, c) for r, mask in enumerate(rows, 1) for c in bits(mask))
 
 
-@lru_cache(maxsize=None)
+@cached_on_composition
 def unlock_map(a: Composition) -> tuple[tuple[LabeledDiagram, LabeledDiagram], ...]:
     """(source, image) pairs of the unlock map over all of LKT(a)."""
     return tuple((t, apply_unlock(t, a)[0]) for t in enumerate_tableaux(a, "lock"))

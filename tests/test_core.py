@@ -82,6 +82,15 @@ def test_a_part_that_is_negative_or_not_an_int_is_a_value_error(build, a):
         build(a)
 
 
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_a_float_part_is_refused_when_its_int_twin_is_cached(build):
+    # a cache keys by equality and (1, 2.0) == (1, 2), so the parts are
+    # checked before the lookup, not only on a miss
+    build((1, 2))
+    with pytest.raises(ValueError, match=r"nonnegative integer parts, got \("):
+        build((1, 2.0))
+
+
 def test_kohnert_move_single_cell_falls():
     expected = {diagram((3, 1)), diagram((2, 1)), diagram((1, 1))}
     assert set(kohnert_closure(diagram((3, 1)))) == expected

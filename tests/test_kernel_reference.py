@@ -15,6 +15,7 @@ from kohnert import (
     crystal_graph,
     enumerate_kkt,
     enumerate_lkt,
+    enumerate_tableaux,
     horizontal_pairing,
     key_diagram,
     kohnert_closure,
@@ -39,6 +40,23 @@ COMPOSITIONS = [
     for a in itertools.product(range(4), repeat=length)
     if sum(a) <= 6
 ]
+
+
+def _interleaved(a):
+    """At least two nonzero parts with a zero somewhere between them."""
+    nonzero = [i for i, p in enumerate(a) if p]
+    return len(nonzero) >= 2 and 0 in a[nonzero[0] : nonzero[-1]]
+
+
+#: Every third composition of length 6 or 7 with parts <= 4, size <= 5 and a
+#: zero between two nonzero parts: longer than COMPOSITIONS, as long as the
+#: longest query inputs, kept to a third so the reference search stays short.
+LONG_INTERLEAVED = [
+    a
+    for length in (6, 7)
+    for a in itertools.product(range(5), repeat=length)
+    if sum(a) <= 5 and _interleaved(a)
+][::3]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +88,23 @@ def test_labelings_match_permutation_search_and_closed_form(closures):
                     assert t.diagram == d
             pairs += 1
     assert pairs == 16943
+
+
+def test_key_labeling_matches_permutation_search_on_long_interleaved_shapes():
+    pairs = 0
+    for a in LONG_INTERLEAVED:
+        for d in kohnert_closure(key_diagram(a)):
+            t = label_key.__wrapped__(d, a)
+            assert t is not None and t.entries == reference.label_key(d.cells, a), (d.cells, a)
+            pairs += 1
+    assert (len(LONG_INTERLEAVED), pairs) == (316, 19619)
+
+
+@pytest.mark.parametrize("kind", ["key", "lock"])
+def test_enumeration_is_in_dataclass_order(kind):
+    for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS)):
+        tableaux = enumerate_tableaux(a, kind)
+        assert tableaux == tuple(sorted(tableaux)), a
 
 
 def test_key_labeling_matches_permutation_search_on_neighbours(closures):

@@ -19,7 +19,7 @@ from kohnert import (
     validate_lkt,
     weight,
 )
-from kohnert.tableaux import _lock_column_labels
+from kohnert.tableaux import _column_labels
 
 import reference
 from golden import (
@@ -135,7 +135,21 @@ def test_label_lock_alternating_contents_match_reference():
             both = _lock_entries(d, a), _lock_entries(d, b)
             differing += None not in both and both[0] != both[1]
     assert differing == 9  # diagrams that both contents label, differently
-    assert _lock_column_labels.cache_info().maxsize is not None  # a bounded cache
+    assert _column_labels.cache_info().maxsize is not None  # a bounded cache
+
+
+def test_column_labels_match_the_columns_each_label_fills():
+    # label l fills columns 1..a_l of a key and m-a_l+1..m of a lock
+    assert _column_labels.cache_info().maxsize is not None  # a bounded cache
+    for a in small_compositions():
+        m = max(a, default=0)
+        for kind in ("key", "lock"):
+            columns = [[] for _ in range(m)]
+            for l, part in enumerate(a, 1):
+                filled = range(1, part + 1) if kind == "key" else range(m - part + 1, m + 1)
+                for c in filled:
+                    columns[c - 1].append(l)
+            assert _column_labels(a, kind) == tuple(map(tuple, columns)), (a, kind)
 
 
 def test_enumerate_kkt_032_matches_golden():
