@@ -53,13 +53,10 @@ from .tableaux import (
     validate_lkt,
 )
 from .unlock import (
-    HorizontalPairing,
     UnlockStep,
     UnlockTrace,
     apply_unlock,
     build_schedule,
-    horizontal_pairing,
-    m_statistic,
     rectify,
     rectify_by_pairing,
     rectify_move,

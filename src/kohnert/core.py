@@ -167,8 +167,9 @@ def padded_weight(d: Diagram, n: int) -> Composition:
 
 
 def _check_parts(a: Composition) -> None:
-    """Raise ValueError unless every part of ``a`` is a nonnegative int."""
-    if not all(isinstance(part, int) and part >= 0 for part in a):
+    """Raise ValueError unless every part of ``a`` is a nonnegative int (not
+    a bool, though ``bool`` subclasses ``int``)."""
+    if not all(type(part) is int and part >= 0 for part in a):
         raise ValueError(f"a weak composition has nonnegative integer parts, got {a}")
 
 

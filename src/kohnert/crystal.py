@@ -1,10 +1,11 @@
 """Vertical pairing, raising/lowering operators, and crystal graphs.
 
-Raising pushes the rightmost vertically unpaired box of row i+1 down to row
-i; lowering is its partial inverse.  Both tableau families raise the same
-way, through the underlying diagram and relabeling, with one extra rule for
-locks: raising stops when a box to the right of the moving box, in its row,
-carries its label.
+One counted pairing of rows i and i+1 serves both directions: raising
+pushes the rightmost unpaired box of row i+1 down to row i, and lowering,
+its partial inverse, the leftmost unpaired box of row i up to row i+1.
+Both tableau families raise the same way, through the underlying diagram
+and relabeling, with one extra rule for locks: raising stops when a box to
+the right of the moving box, in its row, carries its label.
 """
 
 from __future__ import annotations
@@ -22,74 +23,47 @@ from .tableaux import (
 )
 
 
-def match_lines(
-    prev: int, nxt: int, scan: range
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Shared matching routine for vertical and horizontal pairings.
-
-    ``prev`` is the line matched against (row i / column i) and ``nxt`` the
-    line whose boxes seek partners (row i+1 / column i+1), both bitmasks
-    over the same positions; ``scan`` lists the bit positions in reading
-    order, "earlier" meaning left of / above.  Same-position boxes pair
-    first; then each unpaired ``nxt`` box pairs with the nearest earlier
-    unpaired ``prev`` box whenever every box strictly between them is
-    already paired.  That is bracket matching, done in one stack scan:
-    ``prev`` boxes open, ``nxt`` boxes close.
-
-    Returns the (prev, nxt) position pairs and the leftover positions of
-    each line, all in scan order.
-    """
-    pairs = []
-    stack = []
-    unpaired = []
-    for p in scan:
-        if prev >> p & 1:
-            if nxt >> p & 1:
-                pairs.append((p, p))
-            else:
-                stack.append(p)
-        elif nxt >> p & 1:
-            if stack:
-                pairs.append((stack.pop(), p))
-            else:
-                unpaired.append(p)
-    return pairs, stack, unpaired
-
-
-def _row_masks(rows: tuple[int, ...], i: int) -> tuple[int, int]:
-    """The masks of rows i and i+1; bit position p stands for column p + 1."""
-    if i < 1:
-        raise ValueError("row index must be positive")
-    return rows[i - 1] if i <= len(rows) else 0, rows[i] if i < len(rows) else 0
-
-
-def _raise_rows(rows: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]] | None:
-    """Raising on row masks: the column of the rightmost vertically unpaired
-    box of row i+1 and the masks with that box pushed down to row i, or None
-    when row i+1 has no unpaired box.
+def _push_unpaired(
+    rows: tuple[int, ...], i: int, up: bool = False
+) -> tuple[int, tuple[int, ...]] | None:
+    """Pair rows i and i+1 of the row masks ``rows`` and push one unpaired
+    box: the rightmost of row i+1 down to row i, or with ``up`` the leftmost
+    of row i up to row i+1.  Returns its column and the pushed masks, or
+    None when there is no such box.
 
     Only that one box matters, so the pairing is counted, not listed: boxes
     in both rows pair in place, and scanning the rest from the left, each
     row-i box opens and each row-(i+1) box closes an open one if any is left
-    and is unpaired otherwise.
+    and is unpaired otherwise.  The row-i boxes left open are unpaired, and
+    the leftmost of them is the one opened last when none was open.
     """
-    lower, upper = _row_masks(rows, i)
+    if i < 1:
+        raise ValueError("row index must be positive")
+    lower = rows[i - 1] if i <= len(rows) else 0
+    upper = rows[i] if i < len(rows) else 0
     rest = lower ^ upper
-    opened = 0
-    bit = 0
+    opened = first = last = 0
     while rest:
         low = rest & -rest
         rest ^= low
         if low & lower:
+            if not opened:
+                first = low
             opened += 1
         elif opened:
             opened -= 1
         else:
-            bit = low
+            last = low
+    if up:
+        bit = first if opened else 0
+    else:
+        bit = last
     if not bit:
         return None
     out = list(rows)
-    out[i - 1] |= bit
+    if len(out) == i:  # lowering out of the top row
+        out.append(0)
+    out[i - 1] ^= bit
     out[i] ^= bit
     while not out[-1]:
         out.pop()
@@ -98,7 +72,7 @@ def _raise_rows(rows: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...]] | 
 
 def raise_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the rightmost vertically unpaired box of row i+1 down to row i."""
-    raised = _raise_rows(d.rows, i)
+    raised = _push_unpaired(d.rows, i)
     if raised is None:
         return None
     c = raised[0]
@@ -107,11 +81,10 @@ def raise_diagram(d: Diagram, i: int) -> Diagram | None:
 
 def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the leftmost vertically unpaired box of row i up to row i+1."""
-    lower, upper = _row_masks(d.rows, i)
-    _, unpaired, _ = match_lines(lower, upper, range((lower | upper).bit_length()))
-    if not unpaired:
+    lowered = _push_unpaired(d.rows, i, up=True)
+    if lowered is None:
         return None
-    c = unpaired[0] + 1
+    c = lowered[0]
     return d.move((i, c), (i + 1, c))
 
 
@@ -136,7 +109,7 @@ def raise_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> Label
     A raised diagram with no labeling is a TheoremViolation.
     """
     lock = is_lock(kind)
-    raised = _raise_rows(t.diagram.rows, i)
+    raised = _push_unpaired(t.diagram.rows, i)
     if raised is None or lock and _lock_stops(t, i, raised[0]):
         return None
     c = raised[0]
@@ -231,7 +204,7 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     for v_idx, v in enumerate(vertices):
         rows = v.diagram.rows
         for color in range(1, len(a)):
-            raised = _raise_rows(rows, color)
+            raised = _push_unpaired(rows, color)
             if raised is None or lock and _lock_stops(v, color, raised[0]):
                 continue
             u = index.get(raised[1])

@@ -1,4 +1,4 @@
-"""Horizontal pairing, rectification, and the unlock map into key tableaux.
+"""Rectification and the unlock map into key tableaux.
 
 Rectification operators push one box from column i+1 to column i on bare
 diagrams.  Unlock operators do the same on labeled diagrams, first swapping
@@ -23,52 +23,15 @@ from .core import (
     flatten,
     weight,
 )
-from .crystal import match_lines
+from .crystal import _push_unpaired
 from .tableaux import LabeledDiagram, enumerate_tableaux, validate_kkt, validate_lkt
 
 
-@dataclass(frozen=True)
-class HorizontalPairing:
-    """Outcome of pairing columns i and i+1; unpaired lists run top to bottom."""
-
-    col: int
-    pairs: tuple[tuple[Cell, Cell], ...]
-    unpaired_left: tuple[Cell, ...]
-    unpaired_right: tuple[Cell, ...]
-
-
-def horizontal_pairing(d: Diagram, i: int) -> HorizontalPairing:
-    """Pair the boxes of columns i and i+1: same row first, then each
-    unpaired right box with the lowest unpaired left box above it whenever
-    everything between is already paired."""
-    if i < 1:
-        raise ValueError("column index must be positive")
-    left = sum((mask >> (i - 1) & 1) << p for p, mask in enumerate(d.rows))
-    right = sum((mask >> i & 1) << p for p, mask in enumerate(d.rows))
-    # bit position p stands for row p + 1; read top to bottom
-    pairs, unpaired_left, unpaired_right = match_lines(
-        left, right, range((left | right).bit_length() - 1, -1, -1)
-    )
-    return HorizontalPairing(
-        i,
-        tuple(sorted(((p + 1, i), (q + 1, i + 1)) for p, q in pairs)),
-        tuple((p + 1, i) for p in unpaired_left),
-        tuple((q + 1, i + 1) for q in unpaired_right),
-    )
-
-
-def m_statistic(d: Diagram, i: int, r: int) -> int:
-    """Boxes of column i+1 at or above row r, minus the same for column i."""
-    if i < 1 or r < 1:
-        raise ValueError("indices must be positive")
-    return sum((mask >> i & 1) - (mask >> (i - 1) & 1) for mask in d.rows[r - 1:])
-
-
 def _surplus_peak(rows: list[int] | tuple[int, ...], i: int) -> tuple[int, int]:
-    """The maximum of ``m_statistic`` at index i over all rows r (at least
-    0) of the diagram with row masks ``rows``, and the largest row attaining
-    it when positive, in one top-down pass that keeps the running column
-    counts.  Rectification pushes the box of column i+1 in that row."""
+    """The maximum over rows r (at least 0) of the column surplus, boxes of
+    column i+1 at or above row r minus those of column i, for the row masks
+    ``rows``, and the largest row attaining it when positive, in one
+    top-down pass.  Rectification pushes the box of column i+1 in that row."""
     if i < 1:
         raise ValueError("indices must be positive")
     best = row = surplus = 0
@@ -103,13 +66,21 @@ def rectify(d: Diagram, i: int) -> Diagram | None:
 
 def rectify_by_pairing(d: Diagram, i: int) -> Diagram | None:
     """Equivalent formulation: push the bottom-most horizontally unpaired
-    box of column i+1.  Kept separate so the two can be tested against
-    each other."""
-    hp = horizontal_pairing(d, i)
-    if not hp.unpaired_right:
+    box of column i+1, found by the crystal's vertical pairing run on
+    columns i and i+1 packed top row first (bit p for row ``top - p``).
+    Kept separate so the two can be tested against each other."""
+    if i < 1:
+        raise ValueError("column index must be positive")
+    top = len(d.rows)
+    left = right = 0
+    for p, mask in enumerate(reversed(d.rows)):
+        left |= (mask >> (i - 1) & 1) << p
+        right |= (mask >> i & 1) << p
+    pushed = _push_unpaired((left, right), 1)
+    if pushed is None:
         return None
-    r, c = min(hp.unpaired_right)
-    return d.move((r, c), (r, i))
+    r = top + 1 - pushed[0]
+    return d.move((r, i + 1), (r, i))
 
 
 def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:

@@ -74,7 +74,7 @@ BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5, 1)])
+@pytest.mark.parametrize("a", [(-1, 2), (2, -1), (1.5, 1), (True, 2), (1, True)])
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
 def test_a_part_that_is_negative_or_not_an_int_is_a_value_error(build, a):
     # bad input, not a failed theorem: no TheoremViolation, no TypeError
@@ -84,11 +84,12 @@ def test_a_part_that_is_negative_or_not_an_int_is_a_value_error(build, a):
 
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
 def test_a_float_part_is_refused_when_its_int_twin_is_cached(build):
-    # a cache keys by equality and (1, 2.0) == (1, 2), so the parts are
-    # checked before the lookup, not only on a miss
+    # a cache keys by equality and (1, 2.0) == (True, 2) == (1, 2), so the
+    # parts are checked before the lookup, not only on a miss
     build((1, 2))
-    with pytest.raises(ValueError, match=r"nonnegative integer parts, got \("):
-        build((1, 2.0))
+    for twin in ((1, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match=r"nonnegative integer parts, got \("):
+            build(twin)
 
 
 def test_kohnert_move_single_cell_falls():

@@ -16,20 +16,19 @@ from kohnert import (
     enumerate_kkt,
     enumerate_lkt,
     enumerate_tableaux,
-    horizontal_pairing,
     key_diagram,
     kohnert_closure,
     label_key,
     label_lock,
     lock_diagram,
     lower_diagram,
-    m_statistic,
     raise_diagram,
+    rectify_by_pairing,
     rectify_move,
     validate_kkt,
     validate_lkt,
 )
-from kohnert.crystal import _raise_rows, match_lines
+from kohnert.crystal import _push_unpaired
 
 import reference
 
@@ -173,27 +172,30 @@ def test_moves_pairings_and_rectification_match_definitions(closures):
             else:
                 assert lowered is None
         for i in range(1, d.max_col + 2):
-            hp = horizontal_pairing(d, i)
-            expected = reference.horizontal_pairing(cells, i)
-            assert (hp.pairs, hp.unpaired_left, hp.unpaired_right) == expected
-            assert rectify_move(d, i) == reference.rectify_move(cells, i)
-            for r in range(1, d.max_row + 2):
-                assert m_statistic(d, i, r) == reference.m_statistic(cells, i, r), (cells, i, r)
+            # both rectification formulations push the box the column
+            # surplus picks
+            move = reference.rectify_move(cells, i)
+            assert rectify_move(d, i) == move
+            assert rectify_by_pairing(d, i) == (None if move is None else d.move(*move)), (cells, i)
 
 
-def _raised_by_pairing(rows, i):
-    """Raising from the full vertical pairing that ``match_lines`` lists."""
-    lower = rows[i - 1] if i <= len(rows) else 0
-    upper = rows[i] if i < len(rows) else 0
-    _, _, unpaired = match_lines(lower, upper, range((lower | upper).bit_length()))
-    if not unpaired:
+def _pushed_by_pairing(rows, i, up=False):
+    """Raising, or with ``up`` lowering, on row masks from the full vertical
+    pairing that ``reference.vertical_pairing`` lists: the rightmost
+    unpaired upper box moves down, the leftmost unpaired lower box up."""
+    cells = {
+        (r, c) for r, mask in enumerate(rows, 1)
+        for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1
+    }
+    _, lower, upper = reference.vertical_pairing(cells, i)
+    if not (lower if up else upper):
         return None
-    out = list(rows)
-    out[i - 1] |= 1 << unpaired[-1]
-    out[i] ^= 1 << unpaired[-1]
-    while not out[-1]:
-        out.pop()
-    return unpaired[-1] + 1, tuple(out)
+    (r, c), target = (lower[0], i + 1) if up else (upper[-1], i)
+    moved = cells - {(r, c)} | {(target, c)}
+    out = [0] * max(s for s, _ in moved)
+    for s, col in moved:
+        out[s - 1] |= 1 << (col - 1)
+    return c, tuple(out)
 
 
 def test_counted_raising_matches_the_listed_pairing(closures):
@@ -201,19 +203,25 @@ def test_counted_raising_matches_the_listed_pairing(closures):
     raised = 0
     for d in diagrams:
         for i in range(1, len(d.rows) + 2):
-            got = _raise_rows(d.rows, i)
-            assert got == _raised_by_pairing(d.rows, i), (d.cells, i)
+            got = _push_unpaired(d.rows, i)
+            assert got == _pushed_by_pairing(d.rows, i), (d.cells, i)
             raised += got is not None
     assert raised > len(diagrams)
 
 
-@given(
-    st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=5).filter(lambda rows: rows[-1]),
-    st.integers(1, 6),
-)
+masks = st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=5).filter(lambda rows: rows[-1])
+
+
+@given(masks, st.integers(1, 6))
 def test_counted_raising_matches_the_listed_pairing_on_any_masks(rows, i):
     rows = tuple(rows)
-    assert _raise_rows(rows, i) == _raised_by_pairing(rows, i)
+    assert _push_unpaired(rows, i) == _pushed_by_pairing(rows, i)
+
+
+@given(masks, st.integers(1, 6))
+def test_counted_lowering_matches_the_listed_pairing_on_any_masks(rows, i):
+    rows = tuple(rows)
+    assert _push_unpaired(rows, i, up=True) == _pushed_by_pairing(rows, i, up=True)
 
 
 def _perturbations(t, rng):
