@@ -6,6 +6,7 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
+    family_closure,
     flatten,
     key_diagram,
     kohnert_closure,

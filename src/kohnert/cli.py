@@ -12,22 +12,25 @@ import json
 import sys
 from typing import Sequence
 
-from .core import TheoremViolation, key_diagram, kohnert_closure
+from .core import TheoremViolation, family_closure
 from .crystal import crystal_graph
 from .poly import polynomial, render_text
 from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau
 from .unlock import apply_unlock
 from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
 
-#: The most cells a composition may have.  It bounds input before
-#: ``key_diagram`` or ``lock_diagram`` builds a diagram cell by cell;
-#: ``core.MAX_CLOSURE`` bounds the closure search that follows.
+#: The most cells, and the most parts, a composition may have.  It bounds
+#: input before ``key_diagram`` or ``lock_diagram`` builds a diagram cell by
+#: cell; ``core.MAX_CLOSURE`` bounds the closure search that follows.  The
+#: part bound is needed as well: the work per closure diagram grows with the
+#: length, and MAX_CLOSURE alone would admit 1,0,...,0,1 with about 50,000
+#: parts.
 MAX_CELLS = 512
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
     """Parse '1,0,2,1' (trailing zeros significant; empty string allowed);
-    at most MAX_CELLS cells."""
+    at most MAX_CELLS parts and MAX_CELLS cells."""
     text = text.strip()
     if not text:
         return ()
@@ -37,6 +40,10 @@ def parse_composition(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid composition {text!r}") from exc
     if any(p < 0 for p in parts):
         raise argparse.ArgumentTypeError("composition parts must be nonnegative")
+    if len(parts) > MAX_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"composition length {len(parts)} exceeds the limit of {MAX_CELLS} parts"
+        )
     if sum(parts) > MAX_CELLS:
         raise argparse.ArgumentTypeError(
             f"composition size {sum(parts)} exceeds the limit of {MAX_CELLS} cells"
@@ -52,7 +59,7 @@ def _enum_arguments(p: argparse.ArgumentParser) -> None:
 
 def _cmd_enum(args) -> int:
     if args.kind == "kd":
-        items = kohnert_closure(key_diagram(args.comp))
+        items = family_closure(args.comp, "key")
     else:
         items = enumerate_tableaux(args.comp, {"kkt": "key", "lkt": "lock"}[args.kind])
     if args.format == "json":

@@ -192,6 +192,19 @@ def cached_on_composition(fn):
     return checked
 
 
+def is_lock(kind: str) -> bool:
+    """Whether ``kind`` names the lock family rather than the key family.
+
+    Every function taking a ``kind`` checks it here; anything other than
+    "key" or "lock" is a ValueError.
+    """
+    if kind == "lock":
+        return True
+    if kind != "key":
+        raise ValueError(f"kind must be 'key' or 'lock', got {kind!r}")
+    return False
+
+
 def key_diagram(a: Composition) -> Diagram:
     """The unique left-justified diagram of weight ``a``."""
     _check_parts(a)
@@ -257,3 +270,9 @@ def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
         rows = [state >> (r * w) & full for r in range(cells[-1][0])]
         out.append(Diagram._trusted(tuple(cells), tuple(rows)))
     return tuple(sorted(out, key=attrgetter("cells")))
+
+
+def family_closure(a: Composition, kind: str) -> tuple[Diagram, ...]:
+    """The Kohnert closure of the key or lock diagram of ``a``: the diagrams
+    of the key or lock Kohnert tableaux of content ``a``, one each."""
+    return kohnert_closure((lock_diagram if is_lock(kind) else key_diagram)(a))

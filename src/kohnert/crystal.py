@@ -13,14 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Composition, Diagram, TheoremViolation, cached_on_composition
-from .tableaux import (
-    LabeledDiagram,
-    enumerate_tableaux,
-    is_lock,
-    label_key,
-    label_lock,
-)
+from .core import Composition, Diagram, TheoremViolation, cached_on_composition, is_lock
+from .tableaux import LabeledDiagram, enumerate_tableaux, label_key, label_lock
 
 
 def _push_unpaired(

@@ -1,5 +1,5 @@
 """Sparse integer polynomials over exponent vectors, and the generating
-polynomials of key and lock Kohnert tableaux.
+polynomials of key and lock Kohnert tableaux, counted by Kohnert's rule.
 
 Coefficients are Python ints (arbitrary precision).  The variable count n is
 carried explicitly because quasisymmetry depends on it, not just on the
@@ -12,8 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .core import Composition, cached_on_composition, padded_weight
-from .tableaux import enumerate_tableaux
+from .core import Composition, cached_on_composition, family_closure, padded_weight
 
 ExponentVector = tuple[int, ...]
 
@@ -98,8 +97,13 @@ def is_monomial_positive(p: SparsePolynomial) -> bool:
 
 @cached_on_composition
 def polynomial(a: Composition, kind: str) -> SparsePolynomial:
-    """Generating polynomial of the key or lock Kohnert tableaux of content ``a``."""
-    counts = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_tableaux(a, kind))
+    """Generating polynomial of the key or lock Kohnert tableaux of content ``a``.
+
+    By Kohnert's rule it is the sum of x^wt(D) over the Kohnert closure of
+    the key or lock diagram: each closure diagram carries exactly one
+    tableau of the family, so the weights are counted without labeling.
+    """
+    counts = Counter(padded_weight(d, len(a)) for d in family_closure(a, kind))
     return SparsePolynomial.from_dict(len(a), dict(counts))
 
 

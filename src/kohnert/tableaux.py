@@ -20,11 +20,10 @@ from .core import (
     TheoremViolation,
     _masks,
     cached_on_composition,
+    family_closure,
     flatten,
     grid_ascii,
-    key_diagram,
-    kohnert_closure,
-    lock_diagram,
+    is_lock,
     weight,
 )
 
@@ -260,27 +259,14 @@ def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
     return t if validate_lkt(t, a) else None
 
 
-def is_lock(kind: str) -> bool:
-    """Whether ``kind`` names the lock family rather than the key family.
-
-    Every function taking a ``kind`` checks it here; anything other than
-    "key" or "lock" is a ValueError.
-    """
-    if kind == "lock":
-        return True
-    if kind != "key":
-        raise ValueError(f"kind must be 'key' or 'lock', got {kind!r}")
-    return False
-
-
 @cached_on_composition
 def enumerate_tableaux(a: Composition, kind: str) -> tuple[LabeledDiagram, ...]:
     """All key or lock Kohnert tableaux of content ``a``, in canonical order:
     the labelings of the Kohnert closure of the key or lock diagram.  The
     order is the dataclass order, sorted by ``entries`` to compare in C."""
-    seed, label = (lock_diagram, label_lock) if is_lock(kind) else (key_diagram, label_key)
+    label = label_lock if is_lock(kind) else label_key
     out = []
-    for d in kohnert_closure(seed(a)):
+    for d in family_closure(a, kind):
         t = label(d, a)
         if t is None:
             raise TheoremViolation(f"closure diagram {d.cells} of {a} has no {kind} labeling")
@@ -297,12 +283,17 @@ def enumerate_lkt(a: Composition) -> tuple[LabeledDiagram, ...]:
 
 
 def lock_source_tableau(a: Composition) -> LabeledDiagram:
-    """The unique lock Kohnert tableau of content ``a`` and weight flatten(a)."""
+    """The unique lock Kohnert tableau of content ``a`` and weight flatten(a):
+    the labeling of the one lock closure diagram of that weight, the only
+    diagram labeled."""
     target = flatten(a)
-    found = [t for t in enumerate_tableaux(a, "lock") if weight(t.diagram) == target]
+    found = [d for d in family_closure(a, "lock") if weight(d) == target]
     if len(found) != 1:
-        raise TheoremViolation(f"{len(found)} lock tableaux of weight {target} for {a}")
-    return found[0]
+        raise TheoremViolation(f"{len(found)} lock closure diagrams of weight {target} for {a}")
+    t = label_lock(found[0], a)
+    if t is None:
+        raise TheoremViolation(f"closure diagram {found[0].cells} of {a} has no lock labeling")
+    return t
 
 
 def truncate_below(t: LabeledDiagram, bound: int) -> LabeledDiagram:

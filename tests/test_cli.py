@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -260,12 +261,27 @@ def test_oversized_sweep_is_a_usage_error():
     [
         ["poly", "--kind", "key", "--comp", str(MAX_CELLS)],
         ["poly", "--kind", "lock", "--comp", str(MAX_CELLS)],
+        ["poly", "--kind", "key", "--comp", ",".join(["1"] + ["0"] * (MAX_CELLS - 2) + ["1"])],
         ["verify", "--check", "positivity", "--max-len", "1", "--max-part", str(MAX_CELLS)],
     ],
 )
 def test_inputs_at_the_size_limit_run(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["enum", "--kind", "kd"], ["poly", "--kind", "key"], ["crystal", "--kind", "lock"], ["map"]],
+)
+def test_overlong_composition_is_a_usage_error(capsys, command):
+    comp = ",".join(["1"] + ["0"] * 598 + ["1"])  # 600 parts, 2 cells
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--comp", comp])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"composition length 600 exceeds the limit of {MAX_CELLS} parts" in err
 
 
 def test_empty_composition(capsys):
@@ -290,15 +306,21 @@ def test_bare_double_dash_composition_is_a_usage_error(capsys):
     assert "invalid composition" in capsys.readouterr().err
 
 
+#: A ``verify`` timing line on stderr, such as "positivity: 0.12s".
+TIMING_LINE = re.compile(r"^([a-z+]+): \d+\.\d\ds$", re.MULTILINE)
+
+
 def outcome(argv):
-    """main's exit code, stdout and stderr on ``argv``."""
+    """main's exit code, stdout and stderr on ``argv``, with the seconds of
+    each ``verify`` timing line on stderr blanked: a cold run and a warm run
+    of the same check round them differently."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse exits on help and usage errors
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), TIMING_LINE.sub(r"\1: <seconds>s", err.getvalue())
 
 
 def full_parser_outcome(argv):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import kohnert.tableaux as tableaux
 from kohnert.cli import main
+from kohnert.poly import polynomial
 
 from golden import LOCK_1021
 
@@ -143,6 +145,21 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_stdout_matches_golden_digest(case, tmp_path):
+    assert digest(case, tmp_path) == GOLDEN[case_id(case)]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case[0] == "poly"], ids=case_id)
+def test_poly_digest_holds_with_no_labeling(case, tmp_path, monkeypatch):
+    """``poly`` counts closure weights: with both labelings made to fail and
+    no cached polynomial or enumeration to answer for them, its bytes hold."""
+
+    def refuse(d, a):
+        raise AssertionError(f"poly labeled {d.cells}")
+
+    monkeypatch.setattr(tableaux, "label_key", refuse)
+    monkeypatch.setattr(tableaux, "label_lock", refuse)
+    polynomial.cache_clear()
+    tableaux.enumerate_tableaux.cache_clear()
     assert digest(case, tmp_path) == GOLDEN[case_id(case)]
 
 

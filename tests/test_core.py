@@ -5,6 +5,7 @@ from kohnert import (
     Diagram,
     crystal_graph,
     enumerate_tableaux,
+    family_closure,
     flatten,
     key_diagram,
     kohnert_closure,
@@ -134,6 +135,12 @@ def test_closure_of_key_02():
         diagram((1, 1), (1, 2)),
     }
     assert set(kohnert_closure(key_diagram((0, 2)))) == expected
+
+
+def test_family_closure_is_the_closure_of_the_key_or_lock_diagram():
+    for a in [(), (0, 2), (1, 0, 2, 1), (0, 2, 3)]:
+        assert family_closure(a, "key") == kohnert_closure(key_diagram(a))
+        assert family_closure(a, "lock") == kohnert_closure(lock_diagram(a))
 
 
 def test_closure_contains_seed():

@@ -12,6 +12,7 @@ from kohnert import (
     TheoremViolation,
     crystal_graph,
     enumerate_tableaux,
+    family_closure,
     is_connected,
     key_diagram,
     kohnert_closure,
@@ -339,6 +340,7 @@ def test_closure_diagram_sweep_inverse_contract():
 FAMILY_CALLS = {
     "crystal_graph": lambda kind: crystal_graph((1, 0, 2, 1), kind),
     "enumerate_tableaux": lambda kind: enumerate_tableaux((1, 0, 2, 1), kind),
+    "family_closure": lambda kind: family_closure((1, 0, 2, 1), kind),
     "polynomial": lambda kind: polynomial((1, 0, 2, 1), kind),
     "lower_tableau": lambda kind: lower_tableau(KEY_1021["A"], (1, 0, 2, 1), 1, kind),
     "raise_tableau": lambda kind: raise_tableau(KEY_1021["A"], (1, 0, 2, 1), 1, kind),

@@ -1,17 +1,31 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import kohnert.poly
 from kohnert import (
+    SPOT_COMPOSITIONS,
     SparsePolynomial,
+    SweepRange,
     classify_symmetry,
+    enumerate_tableaux,
     is_monomial_positive,
     is_quasisymmetric,
     is_symmetric,
+    key_diagram,
     key_polynomial,
+    lock_diagram,
     lock_polynomial,
+    padded_weight,
+    polynomial,
     render_text,
     schur_polynomial,
     subtract,
 )
+
+import reference
 
 
 def poly(n, *terms):
@@ -149,16 +163,20 @@ def test_classify_symmetry():
     assert p.lock_sym is False
 
 
-def test_coefficients_count_tableaux_by_weight():
-    from collections import Counter
-
-    from kohnert import enumerate_kkt, padded_weight
-
-    a = (1, 0, 2, 1)
-    tally = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_kkt(a))
-    for exp, coef in key_polynomial(a).terms:
-        assert tally[exp] == coef
-    assert sum(tally.values()) == len(enumerate_kkt(a))
+@pytest.mark.parametrize("kind", ["key", "lock"])
+def test_coefficients_count_tableaux_by_weight(kind):
+    """polynomial(a, kind) is the weight count over the Kohnert closure of
+    the key or lock diagram, found by the reference search, and also the
+    generating function of the family's tableaux."""
+    seed = lock_diagram if kind == "lock" else key_diagram
+    for a in [*SweepRange(4, 3).compositions(), *SPOT_COMPOSITIONS]:
+        n = len(a)
+        rows = (Counter(r for r, _ in cells) for cells in reference.closure(seed(a).cells))
+        closure_weights = Counter(tuple(count[r] for r in range(1, n + 1)) for count in rows)
+        expected = SparsePolynomial.from_dict(n, closure_weights)
+        assert polynomial(a, kind) == expected, a
+        tableau_weights = Counter(padded_weight(t.diagram, n) for t in enumerate_tableaux(a, kind))
+        assert SparsePolynomial.from_dict(n, tableau_weights) == expected, a
 
 
 def test_render_text():
@@ -182,3 +200,17 @@ def test_json_shape():
     assert data["n"] == 3
     assert data["terms"][0] == {"exp": [0, 2, 3], "coef": 1}
     assert [t["exp"] for t in data["terms"]] == sorted(t["exp"] for t in data["terms"])
+
+
+def test_poly_imports_from_no_kohnert_module_but_core():
+    """Polynomials are counted on diagrams, so the poly path cannot reach a
+    labeling: ``poly`` imports nothing from ``tableaux`` or later modules."""
+    tree = ast.parse(Path(kohnert.poly.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    ours = {name for name in imported if name.startswith(".") or name.startswith("kohnert")}
+    assert ours == {".core"}

@@ -5,6 +5,7 @@ import pytest
 from kohnert import (
     Diagram,
     LabeledDiagram,
+    TheoremViolation,
     enumerate_kkt,
     enumerate_lkt,
     flatten,
@@ -182,6 +183,20 @@ def test_lock_source_tableau():
     assert lock_source_tableau((0, 0)) == LabeledDiagram()
     t = lock_source_tableau((2, 1))
     assert t == label_lock(lock_diagram((2, 1)), (2, 1))
+
+
+def test_lock_source_tableau_labels_only_its_diagram(monkeypatch):
+    import kohnert.tableaux as tableaux
+
+    labeled = []
+    monkeypatch.setattr(tableaux, "label_lock", lambda d, a: labeled.append(d) or label_lock(d, a))
+    for a in [(0, 2, 3), (1, 0, 3, 0, 3, 2)]:
+        labeled.clear()
+        t = lock_source_tableau(a)
+        assert labeled == [t.diagram], a
+    monkeypatch.setattr(tableaux, "label_lock", lambda d, a: None)
+    with pytest.raises(TheoremViolation, match="has no lock labeling"):
+        lock_source_tableau((0, 2, 3))
 
 
 def test_truncate_below():
