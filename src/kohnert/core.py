@@ -8,11 +8,11 @@ A ``Diagram`` is its sorted row-major ``cells`` tuple, which alone defines
 equality, order and hashing, plus a packed copy the algorithms work on:
 ``rows[r - 1]`` is the bitmask of row r, bit ``c - 1`` standing for column
 c.  Moves, pairings and the closure search are bit operations on these
-masks.  The public constructor and ``from_json`` sort and validate every
-cell; the library's own moves build results through the trusted constructor
-``Diagram._trusted``, which skips that work because its input is canonical
-by construction.  Trusted construction is internal only: all input from
-outside goes through the validating paths.
+masks.  The public constructor sorts and validates every cell, refusing any
+coordinate that is not an int; the library's own moves build results
+through the trusted constructor ``Diagram._trusted``, which skips that work
+because its input is canonical by construction.  Trusted construction is
+internal only: all input from outside goes through the validating path.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ def flatten(a: Composition) -> Composition:
     return tuple(p for p in a if p > 0)
 
 
-def bits(mask: int) -> list[int]:
-    """The 1-based positions of the set bits of ``mask``, lowest first."""
-    return [p for p in range(1, mask.bit_length() + 1) if mask >> (p - 1) & 1]
-
-
 def _masks(cells: tuple[Cell, ...]) -> tuple[int, ...]:
     """Row masks of sorted cells: entry r - 1 has bit c - 1 set per cell
     (r, c), up to the highest row that has a cell."""
@@ -75,9 +70,10 @@ class Diagram:
     rows: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cells = tuple(sorted({(int(r), int(c)) for r, c in self.cells}))
-        if cells and min(min(r, c) for r, c in cells) < 1:
-            raise ValueError("cells must have row >= 1 and col >= 1")
+        cells = tuple((r, c) for r, c in self.cells)
+        if not all(type(r) is int and type(c) is int and min(r, c) >= 1 for r, c in cells):
+            raise ValueError("cells must be int pairs with row >= 1 and col >= 1")
+        cells = tuple(sorted(set(cells)))
         _set(self, "cells", cells)
         _set(self, "rows", _masks(cells))
 
@@ -125,15 +121,6 @@ class Diagram:
 
     def to_json(self) -> list[list[int]]:
         return [[r, c] for r, c in self.cells]
-
-    @classmethod
-    def from_json(cls, data: object) -> "Diagram":
-        if not isinstance(data, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-            for p in data
-        ):
-            raise ValueError("diagram JSON must be a list of [row, col] integer pairs")
-        return cls(tuple((r, c) for r, c in data))
 
     def ascii(self) -> str:
         return grid_ascii({cell: "x" for cell in self.cells})
@@ -218,6 +205,53 @@ def lock_diagram(a: Composition) -> Diagram:
     return Diagram(
         tuple((i + 1, c) for i, part in enumerate(a) for c in range(m - part + 1, m + 1))
     )
+
+
+def _push_unpaired(
+    rows: tuple[int, ...], i: int, up: bool = False
+) -> tuple[int, tuple[int, ...]] | None:
+    """Pair rows i and i+1 of the row masks ``rows`` and push one unpaired
+    box: the rightmost of row i+1 down to row i, or with ``up`` the leftmost
+    of row i up to row i+1.  Returns its column and the pushed masks, or
+    None when there is no such box.
+
+    Only that one box matters, so the pairing is counted, not listed: boxes
+    in both rows pair in place, and scanning the rest from the left, each
+    row-i box opens and each row-(i+1) box closes an open one if any is left
+    and is unpaired otherwise.  The row-i boxes left open are unpaired, and
+    the leftmost of them is the one opened last when none was open.
+    """
+    if i < 1:
+        raise ValueError("row index must be positive")
+    lower = rows[i - 1] if i <= len(rows) else 0
+    upper = rows[i] if i < len(rows) else 0
+    rest = lower ^ upper
+    opened = first = last = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if low & lower:
+            if not opened:
+                first = low
+            opened += 1
+        elif opened:
+            opened -= 1
+        else:
+            last = low
+    if up:
+        bit = first if opened else 0
+    else:
+        bit = last
+    if not bit:
+        return None
+    out = list(rows)
+    if len(out) == i:  # lowering out of the top row
+        out.append(0)
+    out[i - 1] ^= bit
+    out[i] ^= bit
+    while not out[-1]:
+        out.pop()
+    return bit.bit_length(), tuple(out)
 
 
 @lru_cache(maxsize=None)

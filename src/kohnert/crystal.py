@@ -1,11 +1,12 @@
-"""Vertical pairing, raising/lowering operators, and crystal graphs.
+"""Raising/lowering operators and crystal graphs.
 
-One counted pairing of rows i and i+1 serves both directions: raising
-pushes the rightmost unpaired box of row i+1 down to row i, and lowering,
-its partial inverse, the leftmost unpaired box of row i up to row i+1.
-Both tableau families raise the same way, through the underlying diagram
-and relabeling, with one extra rule for locks: raising stops when a box to
-the right of the moving box, in its row, carries its label.
+One counted vertical pairing of rows i and i+1, ``core._push_unpaired``,
+serves both directions: raising pushes the rightmost unpaired box of row
+i+1 down to row i, and lowering, its partial inverse, the leftmost unpaired
+box of row i up to row i+1.  Both tableau families raise the same way,
+through the underlying diagram and relabeling, with one extra rule for
+locks: raising stops when a box to the right of the moving box, in its row,
+carries its label.
 """
 
 from __future__ import annotations
@@ -13,55 +14,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Composition, Diagram, TheoremViolation, cached_on_composition, is_lock
+from .core import (
+    Composition,
+    Diagram,
+    TheoremViolation,
+    _push_unpaired,
+    cached_on_composition,
+    is_lock,
+)
 from .tableaux import LabeledDiagram, enumerate_tableaux, label_key, label_lock
-
-
-def _push_unpaired(
-    rows: tuple[int, ...], i: int, up: bool = False
-) -> tuple[int, tuple[int, ...]] | None:
-    """Pair rows i and i+1 of the row masks ``rows`` and push one unpaired
-    box: the rightmost of row i+1 down to row i, or with ``up`` the leftmost
-    of row i up to row i+1.  Returns its column and the pushed masks, or
-    None when there is no such box.
-
-    Only that one box matters, so the pairing is counted, not listed: boxes
-    in both rows pair in place, and scanning the rest from the left, each
-    row-i box opens and each row-(i+1) box closes an open one if any is left
-    and is unpaired otherwise.  The row-i boxes left open are unpaired, and
-    the leftmost of them is the one opened last when none was open.
-    """
-    if i < 1:
-        raise ValueError("row index must be positive")
-    lower = rows[i - 1] if i <= len(rows) else 0
-    upper = rows[i] if i < len(rows) else 0
-    rest = lower ^ upper
-    opened = first = last = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if low & lower:
-            if not opened:
-                first = low
-            opened += 1
-        elif opened:
-            opened -= 1
-        else:
-            last = low
-    if up:
-        bit = first if opened else 0
-    else:
-        bit = last
-    if not bit:
-        return None
-    out = list(rows)
-    if len(out) == i:  # lowering out of the top row
-        out.append(0)
-    out[i - 1] ^= bit
-    out[i] ^= bit
-    while not out[-1]:
-        out.pop()
-    return bit.bit_length(), tuple(out)
 
 
 def raise_diagram(d: Diagram, i: int) -> Diagram | None:

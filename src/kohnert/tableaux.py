@@ -41,14 +41,14 @@ class LabeledDiagram:
     _diagram: Diagram | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted(((int(r), int(c)), int(l)) for (r, c), l in self.entries))
-        cells = [cell for cell, _ in entries]
-        if len(set(cells)) != len(cells):
+        entries = tuple(((r, c), l) for (r, c), l in self.entries)
+        if not all(type(l) is int and l >= 1 for _, l in entries):
+            raise ValueError("labels must be positive ints")
+        d = Diagram(tuple(cell for cell, _ in entries))  # validates the cells
+        if len(d) != len(entries):
             raise ValueError("duplicate cell in labeled diagram")
-        if any(l < 1 for _, l in entries):
-            raise ValueError("labels must be positive")
-        _set(self, "entries", entries)
-        _set(self, "_diagram", Diagram(tuple(cells)))
+        _set(self, "entries", tuple(sorted(entries)))
+        _set(self, "_diagram", d)
 
     @classmethod
     def _trusted(
@@ -69,25 +69,6 @@ class LabeledDiagram:
             d = Diagram._trusted(cells, _masks(cells))
             _set(self, "_diagram", d)
         return d
-
-    @property
-    def strings(self) -> dict[int, tuple[Cell, ...]]:
-        """Cells per label, ordered by column (then row)."""
-        out: dict[int, list[Cell]] = {}
-        for cell, label in self.entries:
-            out.setdefault(label, []).append(cell)
-        return {
-            label: tuple(sorted(cells, key=lambda rc: (rc[1], rc[0])))
-            for label, cells in sorted(out.items())
-        }
-
-    def content(self) -> Composition:
-        """Multiplicity of each label from 1 up to the largest present."""
-        top = max((l for _, l in self.entries), default=0)
-        counts = [0] * top
-        for _, l in self.entries:
-            counts[l - 1] += 1
-        return tuple(counts)
 
     def to_json(self) -> list[list[int]]:
         return [[r, c, l] for (r, c), l in self.entries]

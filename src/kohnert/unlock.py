@@ -18,12 +18,11 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
-    bits,
+    _push_unpaired,
     cached_on_composition,
     flatten,
     weight,
 )
-from .crystal import _push_unpaired
 from .tableaux import LabeledDiagram, enumerate_tableaux, validate_kkt, validate_lkt
 
 
@@ -66,7 +65,7 @@ def rectify(d: Diagram, i: int) -> Diagram | None:
 
 def rectify_by_pairing(d: Diagram, i: int) -> Diagram | None:
     """Equivalent formulation: push the bottom-most horizontally unpaired
-    box of column i+1, found by the crystal's vertical pairing run on
+    box of column i+1, found by the vertical pairing ``_push_unpaired`` run on
     columns i and i+1 packed top row first (bit p for row ``top - p``).
     Kept separate so the two can be tested against each other."""
     if i < 1:
@@ -130,7 +129,7 @@ class UnlockStep:
 
 @dataclass(frozen=True)
 class UnlockTrace:
-    """Replayable record of a full unlock run."""
+    """Record of a full unlock run: the schedule, and every step's swaps and push."""
 
     schedule: tuple[int, ...]
     steps: tuple[UnlockStep, ...]
@@ -144,22 +143,6 @@ class UnlockTrace:
             "input": self.initial.to_json(),
             "output": self.final.to_json(),
         }
-
-    def replay(self) -> tuple[LabeledDiagram, ...]:
-        """Reapply every recorded step; returns all intermediate tableaux."""
-        states = [self.initial]
-        for step in self.steps:
-            entries = dict(states[-1].entries)
-            for src, dst, label, other in step.swaps:
-                if entries.get(src) != label or entries.get(dst) != other:
-                    raise ValueError(f"trace swap {src}<->{dst} does not match state")
-                entries[src], entries[dst] = other, label
-            src, dst = step.push
-            if dst in entries:
-                raise ValueError(f"trace push target {dst} occupied")
-            entries[dst] = entries.pop(src)
-            states.append(LabeledDiagram(tuple(entries.items())))
-        return tuple(states[1:])
 
 
 class _UnlockState:
@@ -310,7 +293,8 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
 
 def _cells(rows: list[int]) -> tuple[Cell, ...]:
     """The cells of row masks ``rows``, in row-major order."""
-    return tuple((r, c) for r, mask in enumerate(rows, 1) for c in bits(mask))
+    return tuple((r, c) for r, mask in enumerate(rows, 1)
+                 for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1)
 
 
 @cached_on_composition

@@ -77,10 +77,15 @@ class SweepRange:
         return total
 
     def compositions(self) -> Iterator[Composition]:
-        for length in range(self.max_length + 1):
-            for parts in itertools.product(range(self.max_part + 1), repeat=length):
-                if self.max_size is None or sum(parts) <= self.max_size:
-                    yield parts
+        """Shortest first, lexicographic within a length.  Each length extends
+        the last by a part of at most the size left, so listing costs what it lists."""
+        p = self.max_part
+        size = self.max_length * p if self.max_size is None else self.max_size
+        level = [()] if size >= 0 else []
+        yield from level
+        for _ in range(self.max_length):
+            level = [a + (x,) for a in level for x in range(min(p, size - sum(a)) + 1)]
+            yield from level
 
 
 DEFAULT_RANGE = SweepRange(max_length=4, max_part=3)

@@ -217,7 +217,7 @@ def test_truncation_of_lkt_keeps_lock_conditions():
             cut = truncate_below(t, bound)
             cut_content = tuple(p if i + 1 < bound else 0 for i, p in enumerate(a))
             for i, part in enumerate(cut_content, start=1):
-                cols = sorted(c for _, c in cut.strings.get(i, ()))
+                cols = sorted(c for _, c in reference._strings(cut.entries).get(i, ()))
                 assert cols == (list(range(m - part + 1, m + 1)) if part else [])
             assert all(l >= r for (r, _), l in cut.entries)
             if max(cut_content, default=0) == m or not cut.entries:
@@ -238,13 +238,10 @@ def test_unique_labelings_across_small_range():
 
 def test_labelings_have_content_a():
     for a in [(0, 3, 2), (1, 0, 2, 1), (0, 2, 3), (2, 1)]:
-        padded = a + (0,) * 0
-        for t in enumerate_kkt(a):
-            c = t.content()
-            assert c + (0,) * (len(a) - len(c)) == padded
-        for t in enumerate_lkt(a):
-            c = t.content()
-            assert c + (0,) * (len(a) - len(c)) == padded
+        for t in enumerate_kkt(a) + enumerate_lkt(a):
+            labels = [l for _, l in t.entries]
+            assert tuple(labels.count(i) for i in range(1, len(a) + 1)) == a
+            assert max(labels, default=0) <= len(a)
 
 
 def test_lkt_count_matches_closure():
@@ -255,11 +252,22 @@ def test_lkt_count_matches_closure():
         assert {t.diagram for t in tableaux} == set(closure)
 
 
-def test_labeled_diagram_rejects_duplicates_and_bad_labels():
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (((1, 1), 1), ((1, 1), 2)),
+        (((1, 1), 0),),
+        (((1, 1), 2.7),),
+        (((1, 1), True),),
+        (((1, 1.9), 1),),
+        (((True, 1), 1),),
+        # int() would truncate these rows onto lock_source_tableau((0, 2, 3))
+        tuple(((r + 0.5, c), l) for (r, c), l in lock_source_tableau((0, 2, 3)).entries),
+    ],
+)
+def test_labeled_diagram_rejects_duplicates_and_bad_labels(entries):
     with pytest.raises(ValueError):
-        LabeledDiagram((((1, 1), 1), ((1, 1), 2)))
-    with pytest.raises(ValueError):
-        LabeledDiagram((((1, 1), 0),))
+        LabeledDiagram(entries)
 
 
 def test_labeled_diagram_json_roundtrip():

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -33,7 +36,15 @@ def test_sweep_range_count_is_the_number_enumerated():
         for part in range(5):
             for size in (None, -1, *range(15)):
                 rng = SweepRange(length, part, size)
-                assert rng.count() == sum(1 for _ in rng.compositions()), rng
+                listed = list(rng.compositions())
+                assert rng.count() == len(listed), rng
+                # the definition: every tuple of each length, in product order, cut by size
+                assert listed == [
+                    parts
+                    for l in range(length + 1)
+                    for parts in itertools.product(range(part + 1), repeat=l)
+                    if size is None or sum(parts) <= size
+                ], rng
     assert SweepRange(8, 6).count() == (7**9 - 1) // 6
     assert SweepRange(10**9, 0).count() == 10**9 + 1
 
@@ -47,6 +58,19 @@ def test_sweep_size_limit():
     with pytest.raises(ValueError, match=f"holds {MAX_SWEEP + 1} compositions, which exceeds the "
                        f"limit of {MAX_SWEEP} compositions"):
         _sweep(over, ())
+
+
+def test_a_size_capped_sweep_lists_in_the_time_of_its_size():
+    # the range holds 1,771 compositions, but its uncapped product has 4^20 tuples
+    proc = subprocess.run(
+        [sys.executable, "-c", "from kohnert.verify import SweepRange, _sweep; "
+         "print(len(_sweep(SweepRange(20, 3, 2), ())))"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1771\n"
 
 
 @pytest.mark.parametrize("name", ALL_CHECKS)
