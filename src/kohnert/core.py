@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from operator import attrgetter
 
 Cell = tuple[int, int]
@@ -31,6 +31,8 @@ _set = object.__setattr__
 #: The most diagrams ``kohnert_closure`` collects before it raises ValueError.
 #: Commands cost up to about 9 KB and 0.2 ms per closure diagram, so this keeps
 #: one near half a gigabyte and 10 s; tests and benchmark need at most 24,696.
+#: It also bounds the coefficient sum of a key polynomial, which ``poly``
+#: computes by Demazure operators: that sum is the size of the key closure.
 MAX_CLOSURE = 50_000
 
 
@@ -160,23 +162,46 @@ def _check_parts(a: Composition) -> None:
         raise ValueError(f"a weak composition has nonnegative integer parts, got {a}")
 
 
-def cached_on_composition(fn):
+def cached_on_composition(fn=None, *, pad=None):
     """``lru_cache(maxsize=None)`` for a function whose first argument is a
-    weak composition, with ``_check_parts`` run before the lookup: the cache
+    weak composition, keyed on that composition with its trailing zero parts
+    stripped: they label nothing, so a content and its zero-padded twins
+    share one computation.  A result that records its content goes through
+    ``pad(result, a)`` to carry the ``a`` asked for; use as
+    ``@cached_on_composition(pad=...)``.
+
+    ``_check_parts`` runs on the full ``a`` before the lookup: the cache
     keys by equality, so (1, 2.0) would otherwise get (1, 2)'s answer once
-    that is cached, where a cold call raises.  The result keeps
-    ``cache_info``, ``cache_clear`` and ``__wrapped__`` (the uncached
-    function)."""
+    that is cached, where a cold call raises, and stripping would drop a
+    0.0 or a False.  The result keeps ``cache_info``, ``cache_clear`` and
+    ``__wrapped__`` (the uncached function)."""
+    if fn is None:
+        return partial(cached_on_composition, pad=pad)
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def checked(a, *args):
         _check_parts(a)
-        return cached(a, *args)
+        n = end = len(a)
+        while end and not a[end - 1]:
+            end -= 1
+        if end == n:
+            return cached(a, *args)
+        result = cached(a[:end], *args)
+        return result if pad is None else pad(result, a)
 
     checked.cache_info = cached.cache_info
     checked.cache_clear = cached.cache_clear
     return checked
+
+
+def _closure_too_large(a: Composition) -> ValueError:
+    """The error for a content whose Kohnert closure has more than
+    MAX_CLOSURE diagrams, whether a search or a coefficient sum found it."""
+    return ValueError(
+        f"the Kohnert closure of the diagram of weight {a} exceeds "
+        f"the limit of {MAX_CLOSURE} diagrams"
+    )
 
 
 def is_lock(kind: str) -> bool:
@@ -288,10 +313,7 @@ def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
                     seen.add(nxt)
                     frontier.append(nxt)
                     if len(seen) > MAX_CLOSURE:
-                        raise ValueError(
-                            f"the Kohnert closure of the diagram of weight {weight(d)} exceeds "
-                            f"the limit of {MAX_CLOSURE} diagrams"
-                        )
+                        raise _closure_too_large(weight(d))
     cell_at = [(p // w + 1, p % w + 1) for p in range(height * w)]  # bit p -> its cell
     out = []
     for state in frontier:

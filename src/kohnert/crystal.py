@@ -12,7 +12,7 @@ carries its label.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Composition,
@@ -139,7 +139,7 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-@cached_on_composition
+@cached_on_composition(pad=lambda g, a: replace(g, content=a))
 def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     """Build the key or lock crystal of content ``a``.
 
@@ -150,7 +150,9 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     raised masks up among the vertices' instead of relabeling: every vertex
     was labeled and validated during enumeration, and a diagram has at most
     one labeling per family.  A raised diagram outside the Kohnert closure
-    is a TheoremViolation.
+    is a TheoremViolation.  Rows above the stripped content's length hold
+    no box, so a padded content gets its stripped content's vertices and
+    edges, in a record that carries ``a``.
     """
     lock = is_lock(kind)
     vertices = enumerate_tableaux(a, kind)

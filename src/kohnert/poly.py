@@ -1,5 +1,6 @@
 """Sparse integer polynomials over exponent vectors, and the generating
-polynomials of key and lock Kohnert tableaux, counted by Kohnert's rule.
+polynomials of key and lock Kohnert tableaux: key polynomials by Demazure
+operators, lock polynomials by Kohnert's rule.
 
 Coefficients are Python ints (arbitrary precision).  The variable count n is
 carried explicitly because quasisymmetry depends on it, not just on the
@@ -12,7 +13,15 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .core import Composition, cached_on_composition, family_closure, padded_weight
+from .core import (
+    MAX_CLOSURE,
+    Composition,
+    _closure_too_large,
+    cached_on_composition,
+    family_closure,
+    is_lock,
+    padded_weight,
+)
 
 ExponentVector = tuple[int, ...]
 
@@ -95,16 +104,87 @@ def is_monomial_positive(p: SparsePolynomial) -> bool:
     return all(coef > 0 for _, coef in p.terms)
 
 
-@cached_on_composition
+def _pad(p: SparsePolynomial, a: Composition) -> SparsePolynomial:
+    """``p`` in len(a) variables, the new ones with exponent zero."""
+    zeros = (0,) * (len(a) - p.n)
+    return SparsePolynomial(len(a), tuple((exp + zeros, c) for exp, c in p.terms))
+
+
+@cached_on_composition(pad=_pad)
 def polynomial(a: Composition, kind: str) -> SparsePolynomial:
     """Generating polynomial of the key or lock Kohnert tableaux of content ``a``.
 
-    By Kohnert's rule it is the sum of x^wt(D) over the Kohnert closure of
-    the key or lock diagram: each closure diagram carries exactly one
-    tableau of the family, so the weights are counted without labeling.
+    The key polynomial is the Demazure character ``_demazure(a)``.  The lock
+    polynomial is, by Kohnert's rule, the sum of x^wt(D) over the Kohnert
+    closure of the lock diagram: each closure diagram carries exactly one
+    lock tableau, so the weights are counted without labeling.  Trailing
+    zero parts add only zero exponents, so a padded content pads its
+    stripped content's exponents.
     """
-    counts = Counter(padded_weight(d, len(a)) for d in family_closure(a, kind))
-    return SparsePolynomial.from_dict(len(a), dict(counts))
+    n = len(a)
+    if not is_lock(kind):
+        return SparsePolynomial.from_dict(n, _demazure(a))
+    counts = Counter(padded_weight(d, n) for d in family_closure(a, kind))
+    return SparsePolynomial.from_dict(n, dict(counts))
+
+
+def _sorting_word(a: Composition) -> list[int]:
+    """The indices i of the adjacent swaps that sort ``a`` into decreasing
+    order, in the order they are made: while some a_i < a_(i+1), record i
+    and swap the two parts.  Each swap removes one inversion, so the word is
+    reduced."""
+    b = list(a)
+    word = []
+    unsorted = True
+    while unsorted:
+        unsorted = False
+        for i in range(1, len(b)):
+            if b[i - 1] < b[i]:
+                b[i - 1], b[i] = b[i], b[i - 1]
+                word.append(i)
+                unsorted = True
+    return word
+
+
+def _demazure(a: Composition) -> dict[ExponentVector, int]:
+    """The key polynomial of ``a`` as {exponent: coefficient}: the Demazure
+    operators pi_i of ``_sorting_word(a)``, last recorded first, applied to
+    x^lambda, lambda being ``a`` sorted into decreasing order.
+
+    Every intermediate polynomial is the key polynomial of a partly sorted
+    content, whose coefficient sum is its number of Kohnert diagrams, and
+    that sum never falls from one step to the next.  So each step's sum is
+    computed before the step expands, and once it exceeds MAX_CLOSURE the
+    key closure of ``a`` does too: ValueError, with the closure's message.
+    """
+    terms = {tuple(sorted(a, reverse=True)): 1}
+    for i in reversed(_sorting_word(a)):
+        if sum(c * (e[i - 1] - e[i] + 1) for e, c in terms.items()) > MAX_CLOSURE:
+            raise _closure_too_large(a)
+        terms = _pi(terms, i)
+    return terms
+
+
+def _pi(terms: dict[ExponentVector, int], i: int) -> dict[ExponentVector, int]:
+    """The Demazure operator pi_i, (x_i f - x_(i+1) s_i f) / (x_i - x_(i+1)).
+
+    On x^b with p = b_i and q = b_(i+1) it gives the sum of
+    x_i^k x_(i+1)^(p+q-k) over k = q..p when p >= q, zero when p + 1 = q,
+    and minus that sum over k = p+1..q-1 when p + 1 < q: in every case its
+    coefficient sum is p - q + 1.
+    """
+    out: dict[ExponentVector, int] = {}
+    get = out.get
+    for exp, c in terms.items():
+        p, q = exp[i - 1], exp[i]
+        if p < q:  # minus the sum over k = p+1..q-1, empty when p + 1 = q
+            c = -c
+            p, q = q - 1, p + 1
+        head, tail, total = exp[: i - 1], exp[i + 1 :], exp[i - 1] + exp[i]
+        for k in range(q, p + 1):
+            e = head + (k, total - k) + tail
+            out[e] = get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def key_polynomial(a: Composition) -> SparsePolynomial:

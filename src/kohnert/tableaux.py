@@ -244,7 +244,9 @@ def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
 def enumerate_tableaux(a: Composition, kind: str) -> tuple[LabeledDiagram, ...]:
     """All key or lock Kohnert tableaux of content ``a``, in canonical order:
     the labelings of the Kohnert closure of the key or lock diagram.  The
-    order is the dataclass order, sorted by ``entries`` to compare in C."""
+    order is the dataclass order, sorted by ``entries`` to compare in C.
+    Trailing zero parts label nothing, so a padded content gets its
+    stripped content's tableaux."""
     label = label_lock if is_lock(kind) else label_key
     out = []
     for d in family_closure(a, kind):

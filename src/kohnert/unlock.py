@@ -299,7 +299,8 @@ def _cells(rows: list[int]) -> tuple[Cell, ...]:
 
 @cached_on_composition
 def unlock_map(a: Composition) -> tuple[tuple[LabeledDiagram, LabeledDiagram], ...]:
-    """(source, image) pairs of the unlock map over all of LKT(a)."""
+    """(source, image) pairs of the unlock map over all of LKT(a).  A padded
+    content gets its stripped content's pairs."""
     return tuple((t, apply_unlock(t, a)[0]) for t in enumerate_tableaux(a, "lock"))
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, TheoremViolation
+from .core import Composition, TheoremViolation, padded_weight
 from .crystal import crystal_graph, is_connected
 from .poly import (
     classify_symmetry,
@@ -137,8 +138,19 @@ def _sweep(
 
 
 def check_positivity(a: Composition) -> str | None:
-    """Key minus lock is monomial positive."""
-    diff = subtract(key_polynomial(a), lock_polynomial(a))
+    """Key minus lock is monomial positive, and each polynomial is the
+    generating polynomial of its family's tableaux.
+
+    For keys the second statement is Kohnert's theorem, checked against the
+    Demazure operators that compute the key polynomial; for locks it checks
+    the closure-weight count against the labeled tableaux.
+    """
+    key, lock = key_polynomial(a), lock_polynomial(a)
+    for kind, p in (("key", key), ("lock", lock)):
+        weights = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_tableaux(a, kind))
+        if weights != dict(p.terms):
+            return f"{kind} polynomial is not the weight count of the {kind} tableaux"
+    diff = subtract(key, lock)
     if not is_monomial_positive(diff):
         return f"key - lock has a negative term: {diff}"
     return None

@@ -150,8 +150,9 @@ def test_stdout_matches_golden_digest(case, tmp_path):
 
 @pytest.mark.parametrize("case", [case for case in CASES if case[0] == "poly"], ids=case_id)
 def test_poly_digest_holds_with_no_labeling(case, tmp_path, monkeypatch):
-    """``poly`` counts closure weights: with both labelings made to fail and
-    no cached polynomial or enumeration to answer for them, its bytes hold."""
+    """``poly`` applies Demazure operators for keys and counts closure
+    weights for locks: with both labelings made to fail and no cached
+    polynomial or enumeration to answer for them, its bytes hold."""
 
     def refuse(d, a):
         raise AssertionError(f"poly labeled {d.cells}")

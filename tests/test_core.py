@@ -86,11 +86,30 @@ def test_a_part_that_is_negative_or_not_an_int_is_a_value_error(build, a):
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
 def test_a_float_part_is_refused_when_its_int_twin_is_cached(build):
     # a cache keys by equality and (1, 2.0) == (True, 2) == (1, 2), so the
-    # parts are checked before the lookup, not only on a miss
+    # parts are checked before the lookup, not only on a miss; and before
+    # trailing zeros are stripped, which would drop a 0.0 or a False
     build((1, 2))
-    for twin in ((1, 2.0), (True, 2)):
+    build((1, 0))
+    for twin in ((1, 2.0), (True, 2), (1, 0.0), (1, False)):
         with pytest.raises(ValueError, match=r"nonnegative integer parts, got \("):
             build(twin)
+
+
+@pytest.mark.parametrize("a", [(), (1,), (0, 2), (1, 0, 2, 1), (2, 0, 1, 0), (1, 0, 3, 0, 3, 2)])
+def test_a_padded_content_shares_its_stripped_contents_results(a):
+    """Trailing zero parts label nothing: a and a + (0,) get the very same
+    tableaux and unlock map, and crystals with the same vertices and edges
+    whose records carry the content asked for."""
+    padded = a + (0,)
+    assert unlock_map(padded) is unlock_map(a)
+    for kind in ("key", "lock"):
+        assert enumerate_tableaux(padded, kind) is enumerate_tableaux(a, kind)
+        g, h = crystal_graph(a, kind), crystal_graph(padded, kind)
+        assert h.vertices is g.vertices and h.edges == g.edges
+        assert (g.content, h.content) == (a, padded)
+        assert polynomial(padded, kind).terms == tuple(
+            (exp + (0,), c) for exp, c in polynomial(a, kind).terms
+        )
 
 
 def test_kohnert_move_single_cell_falls():

@@ -163,20 +163,69 @@ def test_classify_symmetry():
     assert p.lock_sym is False
 
 
+def closure_polynomial(a, kind):
+    """The weight count over the Kohnert closure of the key or lock diagram
+    of ``a``, found by the reference search."""
+    seed = lock_diagram if kind == "lock" else key_diagram
+    n = len(a)
+    rows = (Counter(r for r, _ in cells) for cells in reference.closure(seed(a).cells))
+    return SparsePolynomial.from_dict(
+        n, Counter(tuple(count[r] for r in range(1, n + 1)) for count in rows)
+    )
+
+
 @pytest.mark.parametrize("kind", ["key", "lock"])
 def test_coefficients_count_tableaux_by_weight(kind):
     """polynomial(a, kind) is the weight count over the Kohnert closure of
     the key or lock diagram, found by the reference search, and also the
     generating function of the family's tableaux."""
-    seed = lock_diagram if kind == "lock" else key_diagram
     for a in [*SweepRange(4, 3).compositions(), *SPOT_COMPOSITIONS]:
         n = len(a)
-        rows = (Counter(r for r, _ in cells) for cells in reference.closure(seed(a).cells))
-        closure_weights = Counter(tuple(count[r] for r in range(1, n + 1)) for count in rows)
-        expected = SparsePolynomial.from_dict(n, closure_weights)
+        expected = closure_polynomial(a, kind)
         assert polynomial(a, kind) == expected, a
         tableau_weights = Counter(padded_weight(t.diagram, n) for t in enumerate_tableaux(a, kind))
         assert SparsePolynomial.from_dict(n, tableau_weights) == expected, a
+
+
+def test_demazure_operators_count_key_closures_on_the_benchmark_pool():
+    """Kohnert's theorem on the query pool, whose lengths reach 7: the key
+    polynomial by Demazure operators is the key closure's weight count."""
+    pool = Path(__file__).resolve().parent.parent / "bench" / "pool.txt"
+    comps = [tuple(map(int, line.split()[0].split(","))) for line in pool.read_text().splitlines()]
+    assert max(map(len, comps)) == 7
+    for a in comps:
+        assert polynomial(a, "key") == closure_polynomial(a, "key"), a
+
+
+def test_each_demazure_step_refuses_before_it_expands(monkeypatch):
+    """A limit just under any step's coefficient sum stops the operators
+    there: no expanded polynomial ever exceeds the limit."""
+    a = (0, 1, 0, 2, 1)
+    steps = []
+    pi = kohnert.poly._pi
+
+    def recorded(terms, i):
+        steps.append(pi(terms, i))
+        return steps[-1]
+
+    monkeypatch.setattr(kohnert.poly, "_pi", recorded)
+    polynomial.cache_clear()
+    polynomial(a, "key")
+    sums = [sum(step.values()) for step in steps]
+    assert sums[-1] == len(reference.closure(key_diagram(a).cells)) == 31
+    assert sums == sorted(sums) and len(set(sums)) == len(sums)
+    for k, total in enumerate(sums):
+        steps.clear()
+        polynomial.cache_clear()
+        for module in (kohnert.core, kohnert.poly):
+            monkeypatch.setattr(module, "MAX_CLOSURE", total - 1)
+        with pytest.raises(
+            ValueError,
+            match=rf"weight \(0, 1, 0, 2, 1\) exceeds the limit of {total - 1} diagrams",
+        ):
+            polynomial(a, "key")
+        assert [sum(step.values()) for step in steps] == sums[:k]
+    polynomial.cache_clear()
 
 
 def test_render_text():

@@ -12,6 +12,7 @@ from kohnert import (
     VerificationReport,
     check_agreement_and_truncation,
     check_intertwining,
+    check_positivity,
     run_checks,
 )
 from kohnert.core import TheoremViolation
@@ -134,6 +135,35 @@ def test_report_pass_iff_no_failures():
     good = VerificationReport("x", 1, (), 0.0)
     bad = VerificationReport("x", 1, (((1,), "w"),), 0.0)
     assert good.passed and not bad.passed
+
+
+@pytest.fixture
+def cold_polynomials():
+    """Clear the polynomial cache around a test whose faults change it."""
+    import kohnert.poly
+
+    kohnert.poly.polynomial.cache_clear()
+    yield kohnert.poly
+    kohnert.poly.polynomial.cache_clear()
+
+
+def test_positivity_catches_the_word_applied_first_recorded_first(monkeypatch, cold_polynomials):
+    poly = cold_polynomials
+    sorting_word = poly._sorting_word
+    # the operators run last recorded first, so a reversed word runs them first recorded first
+    monkeypatch.setattr(poly, "_sorting_word", lambda a: sorting_word(a)[::-1])
+    assert check_positivity((1, 0, 2, 1)) == (
+        "key polynomial is not the weight count of the key tableaux"
+    )
+
+
+def test_positivity_catches_a_dropped_lock_closure_diagram(monkeypatch, cold_polynomials):
+    poly = cold_polynomials
+    family_closure = poly.family_closure
+    monkeypatch.setattr(poly, "family_closure", lambda a, kind: family_closure(a, kind)[1:])
+    assert check_positivity((1, 0, 2, 1)) == (
+        "lock polynomial is not the weight count of the lock tableaux"
+    )
 
 
 def test_intertwining_catches_swapped_images(monkeypatch):
