@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import TheoremViolation, family_closure
 from .crystal import crystal_graph
@@ -51,12 +52,6 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _enum_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("kkt", "lkt", "kd"), required=True)
-    p.add_argument("--comp", type=parse_composition, required=True)
-    p.add_argument("--format", choices=("ascii", "json"), default="ascii")
-
-
 def _cmd_enum(args) -> int:
     if args.kind == "kd":
         items = family_closure(args.comp, "key")
@@ -71,23 +66,10 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-def _poly_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("key", "lock"), required=True)
-    p.add_argument("--comp", type=parse_composition, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def _cmd_poly(args) -> int:
     p = polynomial(args.comp, args.kind)
     print(json.dumps(p.to_json()) if args.format == "json" else render_text(p))
     return 0
-
-
-def _crystal_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("key", "lock"), required=True)
-    p.add_argument("--comp", type=parse_composition, required=True)
-    p.add_argument("--dot", metavar="PATH", help="write DOT to PATH")
-    p.add_argument("--json", metavar="PATH", help="write graph JSON to PATH")
 
 
 def _cmd_crystal(args) -> int:
@@ -128,15 +110,6 @@ def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
     return LabeledDiagram.from_json(data)
 
 
-def _map_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--comp", type=parse_composition, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="map every lock tableau")
-    group.add_argument("--input", metavar="FILE", help="read one tableau as JSON")
-    p.add_argument("--trace", action="store_true", help="also print the step trace")
-    p.add_argument("--format", choices=("ascii", "json"), default="ascii")
-
-
 def _cmd_map(args) -> int:
     if args.all:
         sources = enumerate_tableaux(args.comp, "lock")
@@ -165,12 +138,6 @@ def _cmd_map(args) -> int:
     return 0
 
 
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--check", choices=tuple(ALL_CHECKS) + ("all",), default="all")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-part", type=int, default=3)
-
-
 def _cmd_verify(args) -> int:
     names = list(ALL_CHECKS) if args.check == "all" else [args.check]
     rng = SweepRange(max_length=args.max_len, max_part=args.max_part)
@@ -193,14 +160,83 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-#: Each subcommand's help text, the function adding its arguments, and its handler.
+@dataclass(frozen=True)
+class Option:
+    """One ``--flag`` of a subcommand: a value of type ``type`` (``str`` when
+    None), checked against ``choices``, or with ``store_true`` a bare flag."""
+
+    flag: str
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    store_true: bool = False
+    metavar: str | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its help text, its handler, its options in help order,
+    and the flags of which at most one may be given."""
+
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    options: tuple[Option, ...]
+    exclusive: tuple[str, ...] = ()
+
+
+_COMP = Option("--comp", type=parse_composition, required=True)
+
+#: Every subcommand and its options, read by both parsers.
 COMMANDS = {
-    "enum": ("enumerate tableaux or diagrams", _enum_arguments, _cmd_enum),
-    "poly": ("print a key or lock polynomial", _poly_arguments, _cmd_poly),
-    "crystal": ("build a crystal graph", _crystal_arguments, _cmd_crystal),
-    "map": ("apply the unlock map to lock tableaux", _map_arguments, _cmd_map),
-    "verify": ("run verification sweeps", _verify_arguments, _cmd_verify),
+    "enum": Command("enumerate tableaux or diagrams", _cmd_enum, (
+        Option("--kind", choices=("kkt", "lkt", "kd"), required=True),
+        _COMP,
+        Option("--format", choices=("ascii", "json"), default="ascii"),
+    )),
+    "poly": Command("print a key or lock polynomial", _cmd_poly, (
+        Option("--kind", choices=("key", "lock"), required=True),
+        _COMP,
+        Option("--format", choices=("text", "json"), default="text"),
+    )),
+    "crystal": Command("build a crystal graph", _cmd_crystal, (
+        Option("--kind", choices=("key", "lock"), required=True),
+        _COMP,
+        Option("--dot", metavar="PATH", help="write DOT to PATH"),
+        Option("--json", metavar="PATH", help="write graph JSON to PATH"),
+    )),
+    "map": Command("apply the unlock map to lock tableaux", _cmd_map, (
+        _COMP,
+        Option("--all", store_true=True, help="map every lock tableau"),
+        Option("--input", metavar="FILE", help="read one tableau as JSON"),
+        Option("--trace", store_true=True, help="also print the step trace"),
+        Option("--format", choices=("ascii", "json"), default="ascii"),
+    ), exclusive=("--all", "--input")),
+    "verify": Command("run verification sweeps", _cmd_verify, (
+        Option("--check", choices=tuple(ALL_CHECKS) + ("all",), default="all"),
+        Option("--max-len", type=int, default=4),
+        Option("--max-part", type=int, default=3),
+    )),
 }
+
+
+def _convert(opt: Option, text: str) -> object:
+    """``text`` as ``opt``'s value; ArgumentTypeError, worded as argparse
+    words it, when ``opt``'s type or choices refuse it."""
+    try:
+        value = text if opt.type is None else opt.type(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid {opt.type.__name__} value: {text!r}") from exc
+    if opt.choices is not None and value not in opt.choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, opt.choices))})")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,8 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
         "their polynomials and crystals, and the unlock map.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = p.add_mutually_exclusive_group() if command.exclusive else None
+        for opt in command.options:
+            add = (group if opt.flag in command.exclusive else p).add_argument
+            if opt.store_true:
+                add(opt.flag, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                add(opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices,
+                    default=opt.default, required=opt.required, metavar=opt.metavar,
+                    help=opt.help)
     return parser
 
 
@@ -220,36 +265,69 @@ def _parse_full(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the full parser, which reports every usage error."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not isinstance(getattr(args, "comp", ()), tuple):
-        # argparse before Python 3.13 turns "--comp=--" into [] without parsing it
-        parser.error(f"argument --comp: invalid composition {args.comp!r}")
+    for opt in COMMANDS[args.command].options:
+        if getattr(args, opt.dest) == []:
+            # argparse before Python 3.13 turns "--opt=--" into [] without
+            # converting or checking it; convert "--" as 3.13 does
+            try:
+                setattr(args, opt.dest, _convert(opt, "--"))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"argument {opt.flag}: {exc}")
     return args
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full parser would, building only the named
-    subcommand's parser when that parser accepts the rest of ``argv``.
+def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The full parser's namespace for ``argv``, without building it, when
+    ``argv`` is a command name followed by fully spelled ``--flag``,
+    ``--opt value`` and ``--opt=value`` tokens: no option twice, no value
+    starting with "-", every value valid, every required option given and
+    at most one of an exclusive pair.  None for anything else."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        opt = options.get(flag)
+        if opt is None or flag in given or (opt.store_true and eq):
+            return None
+        if opt.store_true:
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, "-")  # a missing value fails the test below
+        if text.startswith("-"):
+            return None
+        try:
+            given[flag] = _convert(opt, text)
+        except argparse.ArgumentTypeError:
+            return None
+    if sum(flag in given for flag in command.exclusive) > 1:
+        return None
+    if any(opt.required and opt.flag not in given for opt in command.options):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        opt.dest: given.get(opt.flag, False if opt.store_true else opt.default)
+        for opt in command.options
+    })
 
-    The full parser hands a subcommand's arguments to the same parser, so
-    help and errors inside the subcommand read the same either way; leftover
-    arguments and a ``--comp=--`` go to the full parser, which reports them
-    with its own usage line.
-    """
-    name = argv[0] if argv else None
-    if name in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"kohnert {name}")
-        COMMANDS[name][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest and isinstance(getattr(args, "comp", ()), tuple):
-            args.command = name
-            return args
-    return _parse_full(argv)
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, building it only when
+    ``argv`` is not in the exact form ``_parse_exact`` reads.
+
+    Help, every usage error and every unusual spelling (abbreviations,
+    repeats, "--", values starting with "-") go to the full parser, so their
+    messages and exit codes are its own."""
+    return _parse_exact(argv) or _parse_full(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return COMMANDS[args.command][2](args)
+        return COMMANDS[args.command].run(args)
     except TheoremViolation as exc:
         print(f"internal fault: {exc}", file=sys.stderr)
         return 3

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -14,7 +15,6 @@ from kohnert.core import MAX_CLOSURE
 from kohnert.verify import MAX_SWEEP
 
 from golden import LOCK_1021
-from test_cli_fuzz import commands, flatten_argv
 
 
 def run_cli(capsys, *argv):
@@ -299,11 +299,41 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-def test_bare_double_dash_composition_is_a_usage_error(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enum", "--kind", "kkt", "--comp=--"], "argument --comp: invalid composition '--'"),
+        (["poly", "--kind=--", "--comp", "1"], "argument --kind: invalid choice: '--'"),
+        (["poly", "--kind", "key", "--comp", "1", "--format=--"],
+         "argument --format: invalid choice: '--'"),
+        (["verify", "--check=--"], "argument --check: invalid choice: '--'"),
+        (["verify", "--max-len=--"], "argument --max-len: invalid int value: '--'"),
+        (["verify", "--max-len", "1", "--max-part=--"],
+         "argument --max-part: invalid int value: '--'"),
+    ],
+)
+def test_a_bare_double_dash_value_is_a_usage_error(capsys, argv, message):
+    # argparse before Python 3.13 turns "--opt=--" into [] without checking it
     with pytest.raises(SystemExit) as exc:
-        main(["enum", "--kind", "kkt", "--comp=--"])
+        main(argv)
     assert exc.value.code == 2
-    assert "invalid composition" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--input", "--dot", "--json"])
+def test_a_double_dash_path_names_a_file_on_every_python(tmp_path, monkeypatch, capsys, option):
+    # argparse before Python 3.13 turns "--input=--" into [], which read as
+    # "not given"; the file named "--" is read or written, as on 3.13
+    monkeypatch.chdir(tmp_path)
+    if option == "--input":
+        (tmp_path / "--").write_text(json.dumps(LOCK_1021["M"].to_json()))
+        code, out, _ = run_cli(capsys, "map", "--comp", "1,0,2,1", "--format", "json", "--input=--")
+        assert json.loads(out)[0]["output"] == [[1, 1, 1], [3, 1, 3], [3, 2, 3], [4, 1, 4]]
+    else:
+        code, out, _ = run_cli(capsys, "crystal", "--kind", "key", "--comp", "1,2", f"{option}=--")
+        assert out == "vertices: 2\nedges: 1\n"
+        assert (tmp_path / "--").read_text().startswith("digraph" if option == "--dot" else "{")
+    assert code == 0
 
 
 #: A ``verify`` timing line on stderr, such as "positivity: 0.12s".
@@ -346,6 +376,10 @@ def full_parser_outcome(argv):
         ["map", "--comp=1,0,2", "--all", "--format=json"],
         ["poly", "--kind", "key", "--comp", "1", "--comp", "0,2"],  # the last --comp wins
         ["poly", "--kind", "key", "--comp", "1", "--", "x"],
+        ["map", "--comp", "1", "--input", "-h"],  # an option, not a value
+        ["crystal", "--kind", "key", "--comp", "1", "--dot", "-x"],
+        ["verify", "--check", "positivity", "--max-len", "-1"],  # a negative number
+        ["crystal", "--kind", "key", "--comp", "", "--json="],
         ["nosuch"],
         ["-h"],
         [],
@@ -355,30 +389,137 @@ def test_subcommand_parser_matches_full_parser(argv):
     assert outcome(argv) == full_parser_outcome(argv)
 
 
-@settings(max_examples=100, deadline=None)
-@given(parts=commands, tail=st.sampled_from([[], ["extra"], ["--", "x"], ["-h"], ["--ki=key"]]))
-def test_subcommand_parser_matches_full_parser_on_drawn_arguments(parts, tail):
-    argv = flatten_argv(parts) + tail
-    assert outcome(argv) == full_parser_outcome(argv), argv
+#: `--comp` values, among them the empty composition and one with spaces.
+COMPS = ("1,0,2", "0,2", "1", "", " 1, 2")
+
+#: Each subcommand's options and values that its parser accepts (None for a
+#: bare flag).  A path names a file the test writes, one it reads, or none.
+DRAWN_OPTIONS = {
+    "enum": {"--kind": ("kkt", "lkt", "kd"), "--comp": COMPS, "--format": ("ascii", "json")},
+    "poly": {"--kind": ("key", "lock"), "--comp": COMPS, "--format": ("text", "json")},
+    "crystal": {"--kind": ("key", "lock"), "--comp": COMPS, "--dot": ("g.dot",),
+                "--json": ("g.json",)},
+    "map": {"--comp": COMPS, "--all": None, "--input": ("t.json", "nosuch.json", ""),
+            "--trace": None, "--format": ("ascii", "json")},
+    "verify": {"--check": ("all", "positivity", "connected"), "--max-len": ("0", "1", "2"),
+               "--max-part": ("0", "1", "2")},
+}
+#: Always drawn: the required options, and --max-len, without which the slow
+#: default sweep would run.
+KEPT = ("--kind", "--comp", "--max-len")
+#: Values that an option's type or choices refuse, or that argparse reads
+#: apart: empty, starting with "-", and "--".
+ODD_VALUES = ("x", "1,-2", "", "-1", "-h", "--")
+
+
+@st.composite
+def drawn_argv(draw):
+    """A subcommand and its options in any order, spelled ``--opt value`` or
+    ``--opt=value``, then up to three changes: repeat an option, abbreviate
+    it, give it an odd value, drop it, or insert a stray "-h", "--" or
+    positional."""
+    name = draw(st.sampled_from(sorted(DRAWN_OPTIONS)))
+    values = DRAWN_OPTIONS[name]
+    options = []  # [flag, value or None, joined by "="]
+    for flag in draw(st.permutations(sorted(values))):
+        if flag in KEPT or draw(st.booleans()):
+            value = None if values[flag] is None else draw(st.sampled_from(values[flag]))
+            options.append([flag, value, draw(st.booleans())])
+    for _ in range(draw(st.integers(0, 3))):
+        if not options:
+            break
+        i = draw(st.integers(0, len(options) - 1))
+        change = draw(st.sampled_from(["repeat", "abbreviate", "odd", "drop", "stray"]))
+        if change == "repeat":
+            options.insert(draw(st.integers(0, len(options))), list(options[i]))
+        elif change == "abbreviate":
+            options[i][0] = options[i][0][:4]
+        elif change == "odd":
+            options[i][1] = draw(st.sampled_from(ODD_VALUES))
+        elif change == "drop" and options[i][0] != "--max-len":
+            del options[i]
+        elif change == "stray":
+            options.insert(i, [draw(st.sampled_from(["-h", "--", "extra"])), None, False])
+    argv = [name]
+    for flag, value, joined in options:
+        argv += [flag] if value is None else [f"{flag}={value}"] if joined else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=drawn_argv())
+def test_subcommand_parser_matches_full_parser_on_drawn_arguments(tmp_path_factory, argv):
+    exact = cli._parse_exact(argv)
+    if exact is not None:
+        assert vars(exact) == vars(cli._parse_full(argv)), argv
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(tmp_path_factory.getbasetemp())
+        (tmp_path_factory.getbasetemp() / "t.json").write_text(
+            json.dumps(LOCK_1021["M"].to_json()))
+        assert outcome(argv) == full_parser_outcome(argv), argv
+
+
+def parsers_built(argv):
+    """How many ``argparse.ArgumentParser``s ``_parse`` builds on ``argv``."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                cli._parse(argv)
+            except SystemExit:  # help and usage errors
+                pass
+    return len(built)
 
 
 @pytest.mark.parametrize(
-    "argv, full",
+    "argv",
     [
-        (["poly", "--kind", "key", "--comp", "1"], False),
-        (["crystal", "-h"], False),
-        (["poly", "--kind", "key"], False),  # the subcommand's own parser reports it
-        (["poly", "--kind", "key", "--comp", "1", "extra"], True),
-        (["nosuch"], True),
-        ([], True),
+        # the query workloads' commands
+        *(["poly", "--kind", kind, "--format", "json", "--comp", "1,0,2,0,1"]
+          for kind in ("key", "lock")),
+        *(["crystal", "--kind", kind, "--comp", "1,0,2,0,1"] for kind in ("key", "lock")),
+        ["map", "--all", "--format", "json", "--comp", "1,0,2,0,1"],
+        # the CI smoke job's commands that get past parsing
+        ["verify", "--max-len", "3", "--max-part", "2"],
+        ["verify"],
+        *(["enum", "--kind", kind, "--comp", "1,0,2,1"] for kind in ("kkt", "lkt")),
+        *(["poly", "--kind", kind, "--comp", "1,0,2,1"] for kind in ("key", "lock")),
+        ["map", "--all", "--comp", "1,0,2,1"],
+        ["poly", "--kind", "key", "--comp", "0,0,0,0,6,6,6,6"],
+        ["map", "--comp", "1,2", "--input", "nested.json"],
+        ["verify", "--max-len", "8", "--max-part", "6"],
+        ["poly", "--kind", "lock", "--comp", "0,2,3", "--format", "json"],
+        ["poly", "--kind=lock", "--comp=0,2,3", "--format=json"],
     ],
 )
-def test_only_the_full_parser_cases_build_it(monkeypatch, argv, full):
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    outcome(argv)
-    assert built == ([1] if full else [])
+def test_exact_arguments_build_no_parser(argv):
+    assert parsers_built(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["crystal", "-h"],
+        ["poly", "--help"],
+        [],
+        ["nosuch"],
+        ["poly", "--kind", "key"],  # --comp missing
+        ["poly", "--ki", "lock", "--co", "0,2,3", "--fo", "json"],  # abbreviations
+        ["poly", "--kind", "key", "--comp", "1", "--comp", "0,2"],  # a repeat
+        ["poly", "--kind", "key", "--comp", "1", "extra"],
+        ["poly", "--kind", "key", "--comp", "1100"],  # refused by parse_composition
+    ],
+)
+def test_only_the_full_parser_cases_build_it(argv):
+    assert parsers_built(argv) == 1 + len(cli.COMMANDS)
 
 
 def test_stdout_byte_stable_across_processes():
