@@ -29,8 +29,11 @@ _new = object.__new__
 _set = object.__setattr__
 
 #: The most diagrams ``kohnert_closure`` collects before it raises ValueError.
-#: Commands cost up to about 9 KB and 0.2 ms per closure diagram, so this keeps
-#: one near half a gigabyte and 10 s; tests and benchmark need at most 24,696.
+#: Its states pack len(a)·max(a) bits, and the cost per state grows with that:
+#: on N - 1 zeros and then N, ``poly --kind lock`` is refused after 1.2 s and
+#: 46 MB (N = 64), 4 s and 124 MB (128), and 18-23 s and 438 MB (256; 2 vCPUs,
+#: Python 3.11.7); N = 512, within the CLI limits, was not measured.  Tests
+#: and benchmark need at most 24,696.
 #: It also bounds the coefficient sum of a key polynomial, which ``poly``
 #: computes by Demazure operators: that sum is the size of the key closure.
 MAX_CLOSURE = 50_000
@@ -58,6 +61,13 @@ def _masks(cells: tuple[Cell, ...]) -> tuple[int, ...]:
     for r, c in cells:
         rows[r - 1] |= 1 << (c - 1)
     return tuple(rows)
+
+
+def _cells(rows: list[int] | tuple[int, ...]) -> tuple[Cell, ...]:
+    """The cells of row masks ``rows``, in row-major order: the inverse of
+    ``_masks``."""
+    return tuple((r, c) for r, mask in enumerate(rows, 1)
+                 for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1)
 
 
 @dataclass(frozen=True, order=True, slots=True)

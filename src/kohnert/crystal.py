@@ -18,6 +18,7 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
+    _cells,
     _push_unpaired,
     cached_on_composition,
     is_lock,
@@ -28,19 +29,13 @@ from .tableaux import LabeledDiagram, enumerate_tableaux, label_key, label_lock
 def raise_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the rightmost vertically unpaired box of row i+1 down to row i."""
     raised = _push_unpaired(d.rows, i)
-    if raised is None:
-        return None
-    c = raised[0]
-    return d.move((i + 1, c), (i, c))
+    return None if raised is None else Diagram._trusted(_cells(raised[1]), raised[1])
 
 
 def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     """Push the leftmost vertically unpaired box of row i up to row i+1."""
     lowered = _push_unpaired(d.rows, i, up=True)
-    if lowered is None:
-        return None
-    c = lowered[0]
-    return d.move((i, c), (i + 1, c))
+    return None if lowered is None else Diagram._trusted(_cells(lowered[1]), lowered[1])
 
 
 def _lock_stops(t: LabeledDiagram, i: int, c: int) -> bool:
@@ -67,8 +62,7 @@ def raise_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> Label
     raised = _push_unpaired(t.diagram.rows, i)
     if raised is None or lock and _lock_stops(t, i, raised[0]):
         return None
-    c = raised[0]
-    d = t.diagram.move((i + 1, c), (i, c))
+    d = Diagram._trusted(_cells(raised[1]), raised[1])
     t2 = (label_lock if lock else label_key)(d, a)
     if t2 is None:
         raise TheoremViolation(f"raised {kind} diagram {d.cells} lost its labeling for {a}")
@@ -166,9 +160,9 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
                 continue
             u = index.get(raised[1])
             if u is None:
-                d = raise_diagram(v.diagram, color)
                 raise TheoremViolation(
-                    f"raised {kind} diagram {d.cells} is not in the Kohnert closure of {a}"
+                    f"raised {kind} diagram {_cells(raised[1])} is not in the Kohnert "
+                    f"closure of {a}"
                 )
             edges.append((u, v_idx, color))
     return CrystalGraph(kind, a, vertices, tuple(sorted(edges)))

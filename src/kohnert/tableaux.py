@@ -35,10 +35,11 @@ _set = object.__setattr__
 
 @dataclass(frozen=True, order=True, slots=True)
 class LabeledDiagram:
-    """Immutable cell-to-label map, stored sorted row-major."""
+    """Immutable cell-to-label map, stored sorted row-major, holding the
+    ``Diagram`` of its cells as ``diagram``."""
 
     entries: tuple[Entry, ...] = ()
-    _diagram: Diagram | None = field(default=None, init=False, repr=False, compare=False)
+    diagram: Diagram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple(((r, c), l) for (r, c), l in self.entries)
@@ -48,27 +49,16 @@ class LabeledDiagram:
         if len(d) != len(entries):
             raise ValueError("duplicate cell in labeled diagram")
         _set(self, "entries", tuple(sorted(entries)))
-        _set(self, "_diagram", d)
+        _set(self, "diagram", d)
 
     @classmethod
-    def _trusted(
-        cls, entries: tuple[Entry, ...], diagram: Diagram | None = None
-    ) -> "LabeledDiagram":
+    def _trusted(cls, entries: tuple[Entry, ...], diagram: Diagram) -> "LabeledDiagram":
         """Trusted: ``entries`` must be sorted with distinct cells and positive
-        labels, and ``diagram``, when given, must hold exactly their cells."""
+        labels, and ``diagram`` must hold exactly their cells."""
         t = _new(cls)
         _set(t, "entries", entries)
-        _set(t, "_diagram", diagram)
+        _set(t, "diagram", diagram)
         return t
-
-    @property
-    def diagram(self) -> Diagram:
-        d = self._diagram
-        if d is None:
-            cells = tuple(cell for cell, _ in self.entries)
-            d = Diagram._trusted(cells, _masks(cells))
-            _set(self, "_diagram", d)
-        return d
 
     def to_json(self) -> list[list[int]]:
         return [[r, c, l] for (r, c), l in self.entries]
@@ -281,4 +271,6 @@ def lock_source_tableau(a: Composition) -> LabeledDiagram:
 
 def truncate_below(t: LabeledDiagram, bound: int) -> LabeledDiagram:
     """Delete every box whose label is ``bound`` or larger."""
-    return LabeledDiagram._trusted(tuple((cell, l) for cell, l in t.entries if l < bound))
+    entries = tuple((cell, l) for cell, l in t.entries if l < bound)
+    cells = tuple(cell for cell, _ in entries)
+    return LabeledDiagram._trusted(entries, Diagram._trusted(cells, _masks(cells)))

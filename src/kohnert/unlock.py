@@ -18,6 +18,8 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
+    _cells,
+    _masks,
     _push_unpaired,
     cached_on_composition,
     flatten,
@@ -173,9 +175,14 @@ class _UnlockState:
         self.rows = list(rows)
 
     def tableau(self) -> LabeledDiagram:
-        return LabeledDiagram._trusted(tuple(sorted(
+        """The labeled diagram now held, with its diagram built from the
+        labels' cells, not from ``rows``, so that ``apply_unlock``'s weight
+        check reads the output's own cells."""
+        entries = tuple(sorted(
             ((r, c), l) for c, column in enumerate(self.row_in) for l, r in column.items()
-        )))
+        ))
+        cells = tuple(cell for cell, _ in entries)
+        return LabeledDiagram._trusted(entries, Diagram._trusted(cells, _masks(cells)))
 
     def op(self, i: int) -> UnlockStep | None:
         """Apply the unlock operator of index i (see ``unlock_op``) in place;
@@ -289,12 +296,6 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
             f"unlock changed the weight of {t.diagram.cells} from {before} to {after}"
         )
     return out, UnlockTrace(sched, tuple(steps), t, out)
-
-
-def _cells(rows: list[int]) -> tuple[Cell, ...]:
-    """The cells of row masks ``rows``, in row-major order."""
-    return tuple((r, c) for r, mask in enumerate(rows, 1)
-                 for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1)
 
 
 @cached_on_composition

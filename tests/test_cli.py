@@ -182,6 +182,21 @@ def test_verify_all_small(capsys):
     assert out.count("pass") == 5
 
 
+def test_verify_failure_report_lists_each_witness(monkeypatch, capsys):
+    import kohnert.verify
+
+    monkeypatch.setitem(
+        kohnert.verify.ALL_CHECKS, "connected", lambda a: "planted" if a == (1,) else None
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--check", "connected", "--max-len", "1", "--max-part", "1"
+    )
+    assert code == 1
+    # (), (0,) and (1,) from the range, then the five spot compositions
+    assert out == "connectivity  compositions=8  failures=1  FAIL\n  (1,): planted\n"
+    assert re.fullmatch(r"connectivity: \d+\.\d\ds\n", err)
+
+
 @pytest.mark.parametrize("flag", ["--max-len", "--max-part"])
 def test_verify_rejects_negative_bounds(capsys, flag):
     code, out, err = run_cli(capsys, "verify", "--check", "positivity", flag, "-1")

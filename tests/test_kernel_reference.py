@@ -286,12 +286,11 @@ def test_trusted_labeled_diagram_is_the_validated_one(labels, other_labels):
     checked = LabeledDiagram(tuple(labels.items()))
     entries = tuple(sorted(labels.items()))
     other = LabeledDiagram(tuple(other_labels.items()))
-    for diagram in (None, checked.diagram):
-        trusted = LabeledDiagram._trusted(entries, diagram)
-        assert trusted == checked and hash(trusted) == hash(checked) == hash((entries,))
-        assert trusted.diagram == checked.diagram
-        assert (trusted < other) == (checked < other) and (other < trusted) == (other < checked)
-        assert sorted([other, trusted]) == sorted([checked, other])
+    trusted = LabeledDiagram._trusted(entries, checked.diagram)
+    assert trusted == checked and hash(trusted) == hash(checked) == hash((entries,))
+    assert trusted.diagram == checked.diagram
+    assert (trusted < other) == (checked < other) and (other < trusted) == (other < checked)
+    assert sorted([other, trusted]) == sorted([checked, other])
 
 
 def test_unlock_traces_match_dict_reference():

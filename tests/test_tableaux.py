@@ -92,6 +92,11 @@ def test_label_key_no_labeling():
     assert label_key(diagram((3, 1)), (0, 1)) is None
 
 
+def test_label_key_refuses_a_cell_right_of_the_largest_part():
+    # no key string of (2,) reaches column 3
+    assert label_key(Diagram(((1, 3),)), (2,)) is None
+
+
 def test_label_lock_unmoved_diagram():
     assert label_lock(lock_diagram((0, 2, 3)), (0, 2, 3)) == LKT_023[0]
 
@@ -204,6 +209,10 @@ def test_truncate_below():
     assert truncate_below(t, 5) == TRUNC_103032_BELOW_5
     assert truncate_below(t, 1) == LabeledDiagram()
     assert truncate_below(t, 7) == t
+    for bound in range(1, 8):  # each cut holds the diagram of its own cells, masks too
+        cut = truncate_below(t, bound)
+        d = Diagram(tuple(cell for cell, _ in cut.entries))
+        assert (cut.diagram, cut.diagram.rows) == (d, d.rows)
 
 
 def test_truncation_of_lkt_keeps_lock_conditions():

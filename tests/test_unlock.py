@@ -327,6 +327,30 @@ def test_unlock_image_trivial():
     assert unlock_image((0, 0)) == (LabeledDiagram(),)
 
 
+def test_unlock_image_refuses_a_repeated_image(monkeypatch):
+    a = (1, 0, 2, 1)
+    pairs = unlock_module.unlock_map(a)
+    (s0, i0), (s1, _) = pairs[:2]
+    monkeypatch.setattr(unlock_module, "unlock_map", lambda b: ((s0, i0), (s1, i0)) + pairs[2:])
+    message = f"unlock map is not injective on content {a}"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        unlock_image(a)
+
+
+def test_unlock_image_refuses_an_image_outside_the_key_tableaux(monkeypatch):
+    a = (1, 0, 2, 1)
+    pairs = unlock_module.unlock_map(a)
+    keys = set(enumerate_kkt(a))
+    stray = next(t for t, _ in pairs if t not in keys)  # a lock tableau, not a key tableau
+    monkeypatch.setattr(
+        unlock_module, "unlock_map",
+        lambda b: tuple((t, stray if t == stray else img) for t, img in pairs),
+    )
+    message = f"unlock image {stray.entries} of {stray.entries} is not a key tableau of {a}"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        unlock_image(a)
+
+
 def test_unlock_weight_preserving_and_injective_sweep():
     for a in itertools.product(range(3), repeat=3):
         images = unlock_image(a)  # raises on any collision or non-membership
@@ -334,6 +358,8 @@ def test_unlock_weight_preserving_and_injective_sweep():
         for t in enumerate_lkt(a):
             out, _ = apply_unlock(t, a)
             assert weight(out.diagram) == weight(t.diagram)
+            d = Diagram(tuple(cell for cell, _ in out.entries))
+            assert (out.diagram, out.diagram.rows) == (d, d.rows)
 
 
 def test_swaps_only_cross_smaller_labels():

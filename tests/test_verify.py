@@ -8,9 +8,12 @@ import pytest
 
 from kohnert import (
     SPOT_COMPOSITIONS,
+    SparsePolynomial,
     SweepRange,
     VerificationReport,
     check_agreement_and_truncation,
+    check_characterizations,
+    check_connectivity,
     check_intertwining,
     check_positivity,
     run_checks,
@@ -243,6 +246,86 @@ def test_agreement_walks_past_the_first_block(monkeypatch):
     )
     witness = check_agreement_and_truncation((1, 2, 3))
     assert witness.startswith("truncation below 3 changes step 2 (index 1) on ")
+
+
+def test_positivity_catches_a_negative_term(monkeypatch):
+    import kohnert.verify as verify
+
+    a = (1, 0, 2, 1)
+    key, lock = verify.key_polynomial(a), verify.lock_polynomial(a)
+    reversed_diff = verify.subtract(lock, key)
+    assert not verify.is_monomial_positive(reversed_diff)
+    # the weight counts still agree, so the difference is the first thing to fail
+    subtract = verify.subtract
+    monkeypatch.setattr(verify, "subtract", lambda p, q: subtract(q, p))
+    assert check_positivity(a) == f"key - lock has a negative term: {reversed_diff}"
+
+
+@pytest.mark.parametrize("kind", ["lock", "key"])
+def test_connectivity_catches_a_disconnected_crystal(monkeypatch, kind):
+    import kohnert.verify as verify
+
+    monkeypatch.setattr(verify, "is_connected", lambda g: g.kind != kind)
+    assert check_connectivity((1, 0, 2, 1)) == f"{kind} crystal is disconnected"
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [("key_sym", "key symmetric"), ("key_qsym", "key quasisymmetric"),
+     ("lock_sym", "lock symmetric"), ("lock_qsym", "lock quasisymmetric")],
+)
+def test_characterizations_catch_a_wrong_shape_predicate(monkeypatch, field, name):
+    import kohnert.verify as verify
+
+    a = (1, 0, 2)  # every predicate is False here
+    profile = verify.classify_symmetry(a)
+    assert not getattr(profile, field)
+    flipped = dataclasses.replace(profile, **{field: True})
+    monkeypatch.setattr(verify, "classify_symmetry", lambda b: flipped)
+    assert check_characterizations(a) == f"{name}: polynomial says False, shape says True"
+
+
+def _wrong_schur_for(monkeypatch, wrong_shape):
+    """Make ``verify.schur_polynomial`` return the zero polynomial for
+    ``wrong_shape`` alone."""
+    import kohnert.verify as verify
+
+    schur = verify.schur_polynomial
+    monkeypatch.setattr(
+        verify,
+        "schur_polynomial",
+        lambda shape, n: SparsePolynomial.zero(n) if shape == wrong_shape else schur(shape, n),
+    )
+
+
+def test_characterizations_catch_a_key_polynomial_that_is_not_the_schur(monkeypatch):
+    _wrong_schur_for(monkeypatch, (2, 1))  # the reverse of the increasing (1, 2)
+    assert check_characterizations((1, 2)) == (
+        "key polynomial of increasing content is not the reversed-shape Schur"
+    )
+
+
+def test_characterizations_catch_a_lock_polynomial_that_is_not_the_schur(monkeypatch):
+    # (0, 2, 2) is lock symmetric, so weakly increasing: its key polynomial is
+    # checked against the Schur of (2, 2, 0) first, which stays right
+    _wrong_schur_for(monkeypatch, (2, 2))
+    assert check_characterizations((0, 2, 2)) == (
+        "symmetric lock polynomial is not the rectangular Schur"
+    )
+
+
+def test_characterizations_catch_lock_and_key_apart_on_decreasing_parts(monkeypatch):
+    import kohnert.verify as verify
+
+    # doubling every coefficient keeps the lock polynomial's symmetry facts
+    lock_polynomial = verify.lock_polynomial
+
+    def doubled(a):
+        p = lock_polynomial(a)
+        return SparsePolynomial(p.n, tuple((exp, 2 * coef) for exp, coef in p.terms))
+
+    monkeypatch.setattr(verify, "lock_polynomial", doubled)
+    assert check_characterizations((2, 0, 1)) == "decreasing nonzero parts but lock != key"
 
 
 def test_every_check_has_a_report_name():
