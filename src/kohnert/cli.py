@@ -28,6 +28,12 @@ from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
 #: parts.
 MAX_CELLS = 512
 
+#: The most characters ``map --input`` reads.  A JSON tableau of MAX_CELLS
+#: cells, as ``json.dumps`` writes it, is under 10 KiB, so 1 MiB is far above
+#: any valid input; the bound keeps an endless file such as /dev/zero from
+#: being read into memory whole.
+MAX_INPUT_CHARS = 1 << 20
+
 
 def parse_composition(text: str) -> tuple[int, ...]:
     """Parse '1,0,2,1' (trailing zeros significant; empty string allowed);
@@ -35,10 +41,13 @@ def parse_composition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    try:
-        parts = tuple(int(chunk) for chunk in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid composition {text!r}") from exc
+    chunks = [chunk.strip() for chunk in text.split(",")]
+    for chunk in chunks:
+        # int() alone would also read "1_0", "+1" and non-ASCII digits such as "３"
+        digits = chunk.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"invalid composition {text!r}")
+    parts = tuple(map(int, chunks))
     if any(p < 0 for p in parts):
         raise argparse.ArgumentTypeError("composition parts must be nonnegative")
     if len(parts) > MAX_CELLS:
@@ -88,7 +97,9 @@ def _cmd_crystal(args) -> int:
 
 def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
     with open(path) as fh:
-        text = fh.read()
+        text = fh.read(MAX_INPUT_CHARS + 1)
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"{path} exceeds the limit of {MAX_INPUT_CHARS} characters")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -143,7 +143,7 @@ def validate_lkt(t: LabeledDiagram, a: Composition) -> bool:
     return _conditions_hold(t, a, lock=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
     """The key Kohnert tableau labeling of ``d`` with content ``a``, or None.
 

@@ -301,8 +301,20 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
 @cached_on_composition
 def unlock_map(a: Composition) -> tuple[tuple[LabeledDiagram, LabeledDiagram], ...]:
     """(source, image) pairs of the unlock map over all of LKT(a).  A padded
-    content gets its stripped content's pairs."""
-    return tuple((t, apply_unlock(t, a)[0]) for t in enumerate_tableaux(a, "lock"))
+    content gets its stripped content's pairs.
+
+    Each image is the equal member of ``enumerate_tableaux(a, "key")``
+    itself, so the cache holds no second copy of a key tableau; an image
+    equal to none keeps its own object, for ``unlock_image`` to report.
+    Key tableaux are found by their diagram's row masks, one tableau per
+    closure diagram, and the entries compared before one stands in."""
+    keys = {k.diagram.rows: k for k in enumerate_tableaux(a, "key")}
+    pairs = []
+    for t in enumerate_tableaux(a, "lock"):
+        image = apply_unlock(t, a)[0]
+        key = keys.get(image.diagram.rows)
+        pairs.append((t, key if key is not None and key.entries == image.entries else image))
+    return tuple(pairs)
 
 
 def unlock_image(a: Composition) -> tuple[LabeledDiagram, ...]:

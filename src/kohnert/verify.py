@@ -31,10 +31,12 @@ from .tableaux import enumerate_tableaux, truncate_below
 from .unlock import rectify_move, schedule_groups, unlock_image, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
-#: past it before listing any.  A full ``verify`` costs about 10 ms and 0.13 MB
-#: per composition at 3,900 (length <= 5, parts <= 4: 39 s, 512 MB) and more on
-#: larger ranges, so this keeps one near half a gigabyte and a minute; the
-#: default range holds 341 and the benchmark's 392.
+#: past it before listing any.  A full ``verify`` costs about 5 ms and 0.1 MB
+#: per composition at 3,906 (length <= 5, parts <= 4: 20 s and 375 MB, down
+#: from 22 s and 468 MB before unlock images shared the key tableaux' objects;
+#: 2 vCPUs, Python 3.11.7) and more on larger ranges, so this keeps one under
+#: half a gigabyte and a minute; the default range holds 341 and the
+#: benchmark's 392.
 MAX_SWEEP = 4_000
 
 #: Larger shapes swept in addition to the range; they exercise multi-swap

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kohnert.cli as cli
-from kohnert.cli import MAX_CELLS, main, parse_composition
+from kohnert.cli import MAX_CELLS, MAX_INPUT_CHARS, main, parse_composition
 from kohnert.core import MAX_CLOSURE
 from kohnert.verify import MAX_SWEEP
 
@@ -30,6 +30,27 @@ def test_parse_composition():
         parse_composition("1,-2")
     with pytest.raises(Exception):
         parse_composition("1,x")
+
+
+@pytest.mark.parametrize("comp", ["1_0", "\uff13", "1,\u0663", "+1", "2, 1_1"])
+def test_comp_parts_are_ascii_decimal_digits(capsys, comp):
+    # int() reads each part of these; "\uff13" is a fullwidth 3, "\u0663" an Arabic-Indic 3
+    argv = ["poly", "--kind", "key", f"--comp={comp}"]
+    assert cli._parse_exact(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_full(argv)
+    assert exc.value.code == 2
+    assert f"argument --comp: invalid composition {comp!r}" in capsys.readouterr().err
+
+
+def test_comp_parts_keep_their_spaces_and_sign_rules(capsys):
+    spaced = ["poly", "--kind", "key", "--comp= 1 , 0,2 "]
+    assert cli._parse_exact(spaced).comp == cli._parse_full(spaced).comp == (1, 0, 2)
+    negative = ["poly", "--kind", "key", "--comp=1, -2"]
+    assert cli._parse_exact(negative) is None
+    with pytest.raises(SystemExit):
+        cli._parse_full(negative)
+    assert "argument --comp: composition parts must be nonnegative" in capsys.readouterr().err
 
 
 def test_poly_key_text(capsys):
@@ -164,6 +185,16 @@ def test_map_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "map", "--comp", "1,2", "--input", str(src))
     assert (code, out) == (2, "")
     assert f"malformed JSON in {src}: nested too deeply to parse" in err
+
+
+def test_map_input_over_the_size_limit_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "t.json"
+    src.write_text("[" + " " * (MAX_INPUT_CHARS - 2) + "]")  # at the limit: read in full
+    assert run_cli(capsys, "map", "--comp", "", "--input", str(src))[0] == 0
+    src.write_text("[" + " " * (MAX_INPUT_CHARS - 1) + "]")
+    code, out, err = run_cli(capsys, "map", "--comp", "", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert f"error: {src} exceeds the limit of {MAX_INPUT_CHARS} characters" in err
 
 
 def test_verify_pass(capsys):

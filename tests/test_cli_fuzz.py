@@ -3,9 +3,11 @@ subcommand exits 0 or 2 (or 1 for ``verify``), never with a traceback and
 never with exit 3, which is reserved for real theorem violations.
 
 Valid compositions stay at length <= 4 and parts <= 2, and every other
-``--comp`` string either has no digits or has a negative part, so no
-example can start a large enumeration.  JSON integers are small or
-+-10**12, which an unchecked diagram would try to allocate at once.
+``--comp`` string either has no ASCII digits or has a negative part, so no
+example can start a large enumeration.  Junk strings hold underscores and
+fullwidth 3s, which ``int`` reads but ``parse_composition`` refuses.  JSON
+integers are small or +-10**12, which an unchecked diagram would try to
+allocate at once.
 """
 
 import io
@@ -20,7 +22,7 @@ valid_comps = st.lists(st.integers(0, 2), max_size=4).map(
     lambda parts: ",".join(map(str, parts))
 )
 junk_comps = st.one_of(
-    st.text(alphabet=" ,-x.", max_size=6),
+    st.text(alphabet=" ,-x._\uff13", max_size=6),
     st.tuples(st.lists(st.integers(0, 2), max_size=3), st.integers(-3, -1)).map(
         lambda pair: ",".join(map(str, pair[0] + [pair[1]]))
     ),

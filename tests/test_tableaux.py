@@ -97,6 +97,10 @@ def test_label_key_refuses_a_cell_right_of_the_largest_part():
     assert label_key(Diagram(((1, 3),)), (2,)) is None
 
 
+def test_label_key_cache_is_bounded():
+    assert label_key.cache_info().maxsize is not None
+
+
 def test_label_lock_unmoved_diagram():
     assert label_lock(lock_diagram((0, 2, 3)), (0, 2, 3)) == LKT_023[0]
 

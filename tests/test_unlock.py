@@ -13,6 +13,7 @@ import kohnert.unlock as unlock_module
 from kohnert import (
     Diagram,
     LabeledDiagram,
+    SPOT_COMPOSITIONS,
     TheoremViolation,
     apply_unlock,
     build_schedule,
@@ -349,6 +350,41 @@ def test_unlock_image_refuses_an_image_outside_the_key_tableaux(monkeypatch):
     message = f"unlock image {stray.entries} of {stray.entries} is not a key tableau of {a}"
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         unlock_image(a)
+
+
+def test_unlock_images_are_the_enumerated_key_tableaux():
+    # from cold caches: another test may have cleared one of the two
+    unlock_module.enumerate_tableaux.cache_clear()
+    unlock_module.unlock_map.cache_clear()
+    comps = [a for n in range(1, 5) for a in itertools.product(range(4), repeat=n) if any(a)]
+    for a in comps + list(SPOT_COMPOSITIONS):
+        keys = {t: t for t in enumerate_kkt(a)}
+        for t, image in unlock_module.unlock_map(a):
+            assert image is keys[image], (a, t.entries)
+
+
+@pytest.mark.parametrize("plant", ["lock tableau", "relabeled image"])
+def test_unlock_map_keeps_an_image_outside_the_key_tableaux(monkeypatch, plant):
+    a = (1, 0, 2, 1)
+    keys = set(enumerate_kkt(a))
+    if plant == "lock tableau":  # a lock tableau that is not a key tableau
+        source = image = next(t for t in enumerate_lkt(a) if t not in keys)
+    else:  # a key tableau's cells under other labels: same row masks, other entries
+        source = enumerate_lkt(a)[0]
+        true_image = apply_unlock(source, a)[0]
+        image = LabeledDiagram(tuple((cell, l + 1) for cell, l in true_image.entries))
+    apply = unlock_module.apply_unlock
+    monkeypatch.setattr(
+        unlock_module, "apply_unlock", lambda t, b: (image, None) if t == source else apply(t, b)
+    )
+    unlock_module.unlock_map.cache_clear()
+    try:
+        assert dict(unlock_module.unlock_map(a))[source] is image
+        message = f"unlock image {image.entries} of {source.entries} is not a key tableau of {a}"
+        with pytest.raises(TheoremViolation, match=re.escape(message)):
+            unlock_image(a)
+    finally:
+        unlock_module.unlock_map.cache_clear()  # drop the planted image
 
 
 def test_unlock_weight_preserving_and_injective_sweep():
