@@ -137,16 +137,17 @@ class CrystalGraph:
 def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     """Build the key or lock crystal of content ``a``.
 
-    Raising is applied to every vertex and every color 1..len(a)-1, so a
-    disconnected graph would be constructed faithfully rather than hidden
-    by a search from one source.  Both families raise the vertex's row
-    masks, skip the edge when the lock stop rule applies, and look the
-    raised masks up among the vertices' instead of relabeling: every vertex
-    was labeled and validated during enumeration, and a diagram has at most
-    one labeling per family.  A raised diagram outside the Kohnert closure
-    is a TheoremViolation.  Rows above the stripped content's length hold
-    no box, so a padded content gets its stripped content's vertices and
-    edges, in a record that carries ``a``.
+    Raising is applied to every vertex at every color that can move a box,
+    so a disconnected graph would be constructed faithfully rather than
+    hidden by a search from one source.  Colors run over 1 .. (the vertex's
+    highest row) - 1: at any higher color row i+1 is empty, so nothing is
+    raised.  Both families raise the vertex's row masks, skip the edge when
+    the lock stop rule applies, and look the raised masks up among the
+    vertices' instead of relabeling: every vertex is a labeling of a closure
+    diagram, and a diagram has at most one labeling per family.  A raised
+    diagram outside the Kohnert closure is a TheoremViolation.  Rows above
+    the stripped content's length hold no box, so a padded content gets its
+    stripped content's vertices and edges, in a record that carries ``a``.
     """
     lock = is_lock(kind)
     vertices = enumerate_tableaux(a, kind)
@@ -154,7 +155,7 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
     edges = []
     for v_idx, v in enumerate(vertices):
         rows = v.diagram.rows
-        for color in range(1, len(a)):
+        for color in range(1, len(rows)):
             raised = _push_unpaired(rows, color)
             if raised is None or lock and _lock_stops(v, color, raised[0]):
                 continue

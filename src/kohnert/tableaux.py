@@ -151,12 +151,26 @@ def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
     (``_column_labels``, once per content) and only the order within it is
     free, and a direct rule picks it.  Columns go right to left, each
     column's cells bottom to top, and the cell at row r takes the smallest
-    unused label l of its column that passes the flag (l >= r), descent (l's
-    row in the next column, if any, is at most r) and inversion (if a larger
-    label sits lower in this column, l's row in the next column is strictly
-    above the highest such label).  The result must still pass all four
-    tableau conditions.  None when a column's cell count differs from its
-    label count, a cell finds no label, or the conditions fail.
+    unused label l of its column that passes the flag (l >= r) and descent
+    (l's row in the next column, if any, is at most r) tests.  None when a
+    column's cell count differs from its label count, or a cell finds no
+    label.
+
+    The picks give all four tableau conditions, so the result is not
+    checked again (``verify``'s positivity check validates every key
+    tableau it enumerates):
+
+    (1) each column's label set is ``_column_labels(a, "key")``, each label
+        is used once per column, and a column whose cell count differs is
+        refused, so label i fills exactly columns 1..a_i;
+    (2) the flag is tested as ``l >= r``;
+    (3) descent is tested against the column to the right, which is already
+        filled, and adjacent columns suffice since each string's columns
+        are contiguous;
+    (4) inversion follows from taking the smallest label: say l sits above
+        a larger label g in column c.  When g's cell, lower than l's, took
+        g, l was unused and passed the flag there, so l must have failed
+        descent: l appears in column c+1, strictly above g's row.
     """
     col_labels = _column_labels(a, "key")
     width = len(col_labels)
@@ -171,26 +185,16 @@ def label_key(d: Diagram, a: Composition) -> LabeledDiagram | None:
         if len(free) != len(cells):
             return None
         free = list(free)
-        placed = []  # this column's labels so far, bottom up, so rows ascend
         for k, r in cells:
             for l in free:  # an unused label's row is still its row in the column to the right
-                nxt = row[l]
-                if l >= r and nxt <= r:
-                    for g in reversed(placed):  # the highest larger label below
-                        if g > l:
-                            break
-                    else:  # none: no inversion to check
-                        break
-                    if row[g] < nxt:  # l reappears strictly above g to the right
-                        break
+                if l >= r and row[l] <= r:
+                    break
             else:
                 return None
             free.remove(l)
-            placed.append(l)
             row[l] = r
             labels[k] = l
-    t = LabeledDiagram._trusted(tuple(zip(d.cells, labels)), d)
-    return t if _conditions_hold(t, a, lock=False) else None
+    return LabeledDiagram._trusted(tuple(zip(d.cells, labels)), d)
 
 
 @lru_cache(maxsize=1024)
@@ -207,27 +211,37 @@ def _column_labels(a: Composition, kind: str) -> tuple[tuple[int, ...], ...]:
 
 
 def label_lock(d: Diagram, a: Composition) -> LabeledDiagram | None:
-    """Find the lock Kohnert tableau labeling of ``d`` with content ``a``.
+    """The lock Kohnert tableau labeling of ``d`` with content ``a``, or None.
 
     Closed form: each column's label set is forced (``_column_labels``,
-    once per content), and strict column decrease forces their order
-    (largest label on top).  The remaining
-    flagged and descent conditions are then checked.
+    once per content), which gives condition (1), and strict column
+    decrease forces their order (largest label on top), which is condition
+    (4).  One pass over the cells tests the other two: the flag (l >= r)
+    and descent (l's row in the previous column, if met already, is not
+    below r).  Cells come row-major from the bottom, so a box to the left
+    that lies lower has always been met.  None when a column's cell count
+    differs from its label count or a test fails.
     """
     col_labels = _column_labels(a, "lock")
     m = len(col_labels)
-    filled = [0] * m  # cells met so far in each column, bottom up
+    stride = m + 1
+    at = [0] * ((len(a) + 1) * stride)  # at[l * stride + c]: row of label l in column c, or 0
+    filled = [0] * stride  # cells met so far in each column, bottom up
     entries = []
     for cell in d.cells:
-        c = cell[1] - 1
-        if c >= m or filled[c] == len(col_labels[c]):
+        r, c = cell
+        if c > m or filled[c] == len(col_labels[c - 1]):
             return None
-        entries.append((cell, col_labels[c][filled[c]]))
+        l = col_labels[c - 1][filled[c]]
+        k = l * stride + c
+        if l < r or 0 < at[k - 1] < r:
+            return None
+        at[k] = r
         filled[c] += 1
-    if any(k != len(labels) for k, labels in zip(filled, col_labels)):
+        entries.append((cell, l))
+    if any(filled[c] != len(labels) for c, labels in enumerate(col_labels, 1)):
         return None
-    t = LabeledDiagram._trusted(tuple(entries), d)
-    return t if validate_lkt(t, a) else None
+    return LabeledDiagram._trusted(tuple(entries), d)
 
 
 @cached_on_composition

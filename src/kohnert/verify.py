@@ -27,7 +27,7 @@ from .poly import (
     schur_polynomial,
     subtract,
 )
-from .tableaux import enumerate_tableaux, truncate_below
+from .tableaux import enumerate_tableaux, truncate_below, validate_kkt
 from .unlock import rectify_move, schedule_groups, unlock_image, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
@@ -140,16 +140,24 @@ def _sweep(
 
 
 def check_positivity(a: Composition) -> str | None:
-    """Key minus lock is monomial positive, and each polynomial is the
-    generating polynomial of its family's tableaux.
+    """Key minus lock is monomial positive, each polynomial is the
+    generating polynomial of its family's tableaux, and every enumerated key
+    tableau passes ``validate_kkt``.
 
     For keys the second statement is Kohnert's theorem, checked against the
     Demazure operators that compute the key polynomial; for locks it checks
-    the closure-weight count against the labeled tableaux.
+    the closure-weight count against the labeled tableaux.  The third is the
+    labeling theorem: ``label_key`` does not re-check its own picks, so this
+    is where each key tableau is validated.
     """
     key, lock = key_polynomial(a), lock_polynomial(a)
     for kind, p in (("key", key), ("lock", lock)):
-        weights = Counter(padded_weight(t.diagram, len(a)) for t in enumerate_tableaux(a, kind))
+        tableaux = enumerate_tableaux(a, kind)
+        if kind == "key":
+            for t in tableaux:
+                if not validate_kkt(t, a):
+                    return f"key labeling {t.entries} is not a key tableau"
+        weights = Counter(padded_weight(t.diagram, len(a)) for t in tableaux)
         if weights != dict(p.terms):
             return f"{kind} polynomial is not the weight count of the {kind} tableaux"
     diff = subtract(key, lock)

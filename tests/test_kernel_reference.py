@@ -127,6 +127,47 @@ def test_key_labeling_matches_permutation_search_on_neighbours(closures):
     assert (pairs, unlabeled) == (22098, 10932)
 
 
+#: Every nonzero weak composition of length <= 4 with parts <= 3.
+SMALL_CONTENTS = [
+    a for length in range(1, 5) for a in itertools.product(range(4), repeat=length) if any(a)
+]
+
+
+def _diagrams_with_column_counts(a, kind):
+    """Every diagram in rows 1..len(a) whose column c holds as many cells as
+    a tableau of ``kind`` and content ``a`` puts labels there."""
+    n, m = len(a), max(a)
+    counts = [sum(p >= (m - c + 1 if kind == "lock" else c) for p in a) for c in range(1, m + 1)]
+    for columns in itertools.product(*(itertools.combinations(range(1, n + 1), k) for k in counts)):
+        yield Diagram(tuple((r, c) for c, rows in enumerate(columns, 1) for r in rows))
+
+
+@pytest.mark.parametrize(
+    "kind, labeler, expected_label, expected_valid, counts",
+    [
+        # label_key's rule is not re-checked by its caller: this pass holds
+        # every pick, None included, to the permutation search
+        ("key", label_key.__wrapped__, reference.label_key, reference.validate_kkt, (2758, 11890)),
+        ("lock", label_lock, reference.label_lock, reference.validate_lkt, (1386, 13262)),
+    ],
+)
+def test_labelings_match_reference_on_every_diagram_with_the_column_counts(
+    kind, labeler, expected_label, expected_valid, counts
+):
+    labeled = unlabeled = 0
+    for a in SMALL_CONTENTS:
+        for d in _diagrams_with_column_counts(a, kind):
+            t = labeler(d, a)
+            expected = expected_label(d.cells, a)
+            assert (t.entries if t is not None else None) == expected, (d.cells, a)
+            if t is None:
+                unlabeled += 1
+            else:
+                assert expected_valid(t.entries, a), (d.cells, a)
+                labeled += 1
+    assert (len(SMALL_CONTENTS), labeled, unlabeled) == (336, *counts)
+
+
 def test_key_crystal_matches_relabeling_reference():
     vertices = edges = 0
     for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS)):

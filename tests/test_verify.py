@@ -169,6 +169,45 @@ def test_positivity_catches_a_dropped_lock_closure_diagram(monkeypatch, cold_pol
     )
 
 
+@pytest.fixture
+def cold_tableaux():
+    """Clear the tableau enumeration cache around a test whose faults change it."""
+    import kohnert.tableaux
+
+    kohnert.tableaux.enumerate_tableaux.cache_clear()
+    yield kohnert.tableaux
+    kohnert.tableaux.enumerate_tableaux.cache_clear()
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_positivity_catches_a_labeling_that_is_not_a_key_tableau(
+    monkeypatch, cold_tableaux, position
+):
+    tableaux = cold_tableaux
+    a = (1, 0, 2, 1)
+    target = tableaux.enumerate_tableaux(a, "key")[position]
+    tableaux.enumerate_tableaux.cache_clear()
+    label_key = tableaux.label_key
+
+    def swapped(d, b):
+        # on the target's diagram only, swap the labels of column 1's two lowest cells
+        t = label_key(d, b)
+        if d != target.diagram:
+            return t
+        entries = list(t.entries)
+        i, j = [k for k, ((_, c), _) in enumerate(entries) if c == 1][:2]
+        entries[i], entries[j] = (entries[i][0], entries[j][1]), (entries[j][0], entries[i][1])
+        return tableaux.LabeledDiagram(tuple(entries))
+
+    monkeypatch.setattr(tableaux, "label_key", swapped)
+    [bad] = [t for t in tableaux.enumerate_tableaux(a, "key") if t.diagram == target.diagram]
+    assert bad != target and not tableaux.validate_kkt(bad, a)
+    witness = f"key labeling {bad.entries} is not a key tableau"
+    assert check_positivity(a) == witness
+    [report] = run_checks(["positivity"], SweepRange(0, 0), [a])
+    assert report.failures == ((a, witness),)
+
+
 def test_intertwining_catches_swapped_images(monkeypatch):
     import kohnert.verify as verify
 
