@@ -47,13 +47,20 @@ def parse_composition(text: str) -> tuple[int, ...]:
         digits = chunk.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"invalid composition {text!r}")
-    parts = tuple(map(int, chunks))
-    if any(p < 0 for p in parts):
+    # int() reads at most 4,300 digits, leading zeros included, so they go first
+    significant = [chunk.lstrip("-0") or "0" for chunk in chunks]
+    if "-" in text and any(c[:1] == "-" and d != "0" for c, d in zip(chunks, significant)):
         raise argparse.ArgumentTypeError("composition parts must be nonnegative")
-    if len(parts) > MAX_CELLS:
+    if len(chunks) > MAX_CELLS:
         raise argparse.ArgumentTypeError(
-            f"composition length {len(parts)} exceeds the limit of {MAX_CELLS} parts"
+            f"composition length {len(chunks)} exceeds the limit of {MAX_CELLS} parts"
         )
+    longest = max(significant, key=len)
+    if len(longest) > len(str(MAX_CELLS)):  # over the limit alone: not read
+        raise argparse.ArgumentTypeError(
+            f"composition size {longest} or more exceeds the limit of {MAX_CELLS} cells"
+        )
+    parts = tuple(map(int, significant))
     if sum(parts) > MAX_CELLS:
         raise argparse.ArgumentTypeError(
             f"composition size {sum(parts)} exceeds the limit of {MAX_CELLS} cells"

@@ -166,10 +166,10 @@ def padded_weight(d: Diagram, n: int) -> Composition:
 
 
 def _check_parts(a: Composition) -> None:
-    """Raise ValueError unless every part of ``a`` is a nonnegative int (not
-    a bool, though ``bool`` subclasses ``int``)."""
-    if not all(type(part) is int and part >= 0 for part in a):
-        raise ValueError(f"a weak composition has nonnegative integer parts, got {a}")
+    """Raise ValueError unless ``a`` is a tuple (a list cannot key a cache) of
+    nonnegative ints (not bools, though ``bool`` subclasses ``int``)."""
+    if not (isinstance(a, tuple) and all(type(part) is int and part >= 0 for part in a)):
+        raise ValueError(f"a weak composition is a tuple of nonnegative integer parts, got {a}")
 
 
 def cached_on_composition(fn=None, *, pad=None):

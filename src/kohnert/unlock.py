@@ -299,37 +299,32 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
 
 
 @cached_on_composition
-def unlock_map(a: Composition) -> tuple[tuple[LabeledDiagram, LabeledDiagram], ...]:
-    """(source, image) pairs of the unlock map over all of LKT(a).  A padded
-    content gets its stripped content's pairs.
-
-    Each image is the equal member of ``enumerate_tableaux(a, "key")``
-    itself, so the cache holds no second copy of a key tableau; an image
-    equal to none keeps its own object, for ``unlock_image`` to report.
-    Key tableaux are found by their diagram's row masks, one tableau per
-    closure diagram, and the entries compared before one stands in."""
-    keys = {k.diagram.rows: k for k in enumerate_tableaux(a, "key")}
-    pairs = []
+def unlock_map(a: Composition) -> tuple[int, ...]:
+    """The unlock map on LKT(a) as positions: entry k is the index, in
+    ``enumerate_tableaux(a, "key")``, of the image of the k-th tableau of
+    ``enumerate_tableaux(a, "lock")``.  A padded content gets its stripped
+    content's map.  This is the one check that unlock lands injectively in
+    the key tableaux: an image equal to no key tableau (found by its row
+    masks, one per closure diagram, then compared by its entries), or two
+    lock tableaux with one image, is a TheoremViolation."""
+    keys = enumerate_tableaux(a, "key")
+    index = {k.diagram.rows: i for i, k in enumerate(keys)}
+    image = []
     for t in enumerate_tableaux(a, "lock"):
-        image = apply_unlock(t, a)[0]
-        key = keys.get(image.diagram.rows)
-        pairs.append((t, key if key is not None and key.entries == image.entries else image))
-    return tuple(pairs)
+        out = apply_unlock(t, a)[0]
+        k = index.get(out.diagram.rows)
+        if k is None or keys[k].entries != out.entries:
+            raise TheoremViolation(
+                f"unlock image {out.entries} of {t.entries} is not a key tableau of {a}"
+            )
+        image.append(k)
+    if len(set(image)) != len(image):
+        raise TheoremViolation(f"unlock map is not injective on content {a}")
+    return tuple(image)
 
 
 def unlock_image(a: Composition) -> tuple[LabeledDiagram, ...]:
-    """Images of all lock Kohnert tableaux of content ``a``, in canonical order.
-
-    Verifies injectivity and membership in the key tableaux of ``a``.
-    """
-    pairs = unlock_map(a)
-    images = [img for _, img in pairs]
-    if len(set(images)) != len(images):
-        raise TheoremViolation(f"unlock map is not injective on content {a}")
-    keys = set(enumerate_tableaux(a, "key"))
-    for src, img in pairs:
-        if img not in keys:
-            raise TheoremViolation(
-                f"unlock image {img.entries} of {src.entries} is not a key tableau of {a}"
-            )
-    return tuple(sorted(images))
+    """Images of all lock Kohnert tableaux of content ``a``, in canonical
+    order: the key tableaux at the positions ``unlock_map`` gives."""
+    keys = enumerate_tableaux(a, "key")
+    return tuple(keys[k] for k in sorted(unlock_map(a)))

@@ -28,7 +28,7 @@ from .poly import (
     subtract,
 )
 from .tableaux import enumerate_tableaux, truncate_below, validate_kkt
-from .unlock import rectify_move, schedule_groups, unlock_image, unlock_map
+from .unlock import rectify_move, schedule_groups, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
 #: past it before listing any.  A full ``verify`` costs about 5 ms and 0.1 MB
@@ -170,20 +170,16 @@ def check_intertwining(a: Composition) -> str | None:
     """Unlock intertwines the crystal operators: every lock edge (u, v, i)
     maps to the key edge (unlock u, unlock v, i).
 
-    Both crystals are the cached ``crystal_graph``s, so each lock edge is
-    tested once against the key crystal's edge set.  An edge stands for
-    raising read from v and lowering read from u, so this covers both.
+    Both crystals are the cached ``crystal_graph``s, whose vertices are their
+    family's enumeration in order, so ``unlock_map``'s positions index key
+    vertices.  An edge stands for raising read from v and lowering read
+    from u, so testing each lock edge once covers both.
     """
-    images = dict(unlock_map(a))
+    image = unlock_map(a)
     lock = crystal_graph(a, "lock")
-    key = crystal_graph(a, "key")
-    index = {v: k for k, v in enumerate(key.vertices)}
-    key_edges = set(key.edges)
+    key_edges = set(crystal_graph(a, "key").edges)
     for u, v, color in lock.edges:
-        # an image outside the key crystal has no index, so its edge is missing
-        src = index.get(images[lock.vertices[u]])
-        dst = index.get(images[lock.vertices[v]])
-        if (src, dst, color) not in key_edges:
+        if (image[u], image[v], color) not in key_edges:
             return f"raising color {color} fails on {lock.vertices[v].entries}"
     return None
 
@@ -227,7 +223,7 @@ def check_agreement_and_truncation(a: Composition) -> str | None:
     """Unlock agrees with rectification stepwise (asserted inside
     apply_unlock), and truncating away large labels never changes which
     cell a prefix rectification step moves."""
-    unlock_image(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
+    unlock_map(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
     labels = [i + 1 for i, p in enumerate(a) if p > 0]
     groups = schedule_groups(tuple(p for p in a if p > 0))
     ends = list(itertools.accumulate(len(block) for block in groups[:-1]))

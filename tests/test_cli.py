@@ -53,6 +53,24 @@ def test_comp_parts_keep_their_spaces_and_sign_rules(capsys):
     assert "argument --comp: composition parts must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zeros", [4_000, 4_999])
+def test_comp_part_leading_zeros_do_not_count(capsys, zeros):
+    # int() reads at most 4,300 digits, leading zeros included
+    assert parse_composition("0" * zeros + "1,2") == (1, 2)
+    code, out, _ = run_cli(capsys, "poly", "--kind", "key", "--comp", "0" * zeros + "1")
+    assert (code, out) == (0, "x1\n")
+
+
+@pytest.mark.parametrize("part", ["1000", "1" + "0" * 4_999, "0" * 4_000 + "9" * 4_999])
+def test_comp_part_with_more_digits_than_the_cell_limit_is_a_usage_error(capsys, part):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--kind", "key", "--comp", f"1,{part}"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    size = part.lstrip("0")
+    assert f"composition size {size} or more exceeds the limit of {MAX_CELLS} cells" in err
+
+
 def test_poly_key_text(capsys):
     code, out, _ = run_cli(capsys, "poly", "--kind", "key", "--comp", "1,0,2,1")
     assert code == 0

@@ -97,6 +97,13 @@ def test_a_float_part_is_refused_when_its_int_twin_is_cached(build):
             build(twin)
 
 
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_a_list_composition_is_a_value_error(build):
+    # a list cannot key a cache, so it is refused as bad input, not met with a TypeError
+    with pytest.raises(ValueError, match=re.escape("tuple of nonnegative integer parts, got [0, 1]")):
+        build([0, 1])
+
+
 @pytest.mark.parametrize("a", [(), (1,), (0, 2), (1, 0, 2, 1), (2, 0, 1, 0), (1, 0, 3, 0, 3, 2)])
 def test_a_padded_content_shares_its_stripped_contents_results(a):
     """Trailing zero parts label nothing: a and a + (0,) get the very same

@@ -290,6 +290,17 @@ def test_lock_crystal_raising_out_of_the_vertices_is_a_theorem_violation(monkeyp
     _check_raising_into_a_dropped_vertex(monkeypatch, "lock")
 
 
+@pytest.mark.parametrize("a", [(1, 0, 2, 1), (1, 0, 2, 1, 0, 0)])
+@pytest.mark.parametrize("kind", ["key", "lock"])
+def test_crystal_vertices_are_the_enumeration(a, kind):
+    # the intertwining check reads unlock_map's positions as vertex indices;
+    # from a cold crystal cache, since another test may have cleared the enumeration's
+    crystal_graph.cache_clear()
+    vertices, tableaux = crystal_graph(a, kind).vertices, enumerate_tableaux(a, kind)
+    assert len(vertices) == len(tableaux)
+    assert all(v is t for v, t in zip(vertices, tableaux))
+
+
 def test_connectivity():
     assert is_connected(crystal_graph((1, 0, 2, 1), "lock"))
     assert is_connected(crystal_graph((1, 0, 2, 1), "key"))

@@ -328,28 +328,33 @@ def test_unlock_image_trivial():
     assert unlock_image((0, 0)) == (LabeledDiagram(),)
 
 
-def test_unlock_image_refuses_a_repeated_image(monkeypatch):
+@pytest.fixture
+def plant_images(monkeypatch):
+    """Make ``unlock_map`` see ``planted[t]`` as the unlock image of each
+    lock tableau t in ``planted``, from a cold cache that is cleared again
+    at the end: a planted map that raised is not cached, but one that
+    passed would be."""
+    apply = unlock_module.apply_unlock
+
+    def plant(planted):
+        monkeypatch.setattr(
+            unlock_module,
+            "apply_unlock",
+            lambda t, b: (planted[t], None) if t in planted else apply(t, b),
+        )
+        unlock_module.unlock_map.cache_clear()
+
+    yield plant
+    unlock_module.unlock_map.cache_clear()
+
+
+def test_unlock_map_refuses_a_repeated_image(plant_images):
     a = (1, 0, 2, 1)
-    pairs = unlock_module.unlock_map(a)
-    (s0, i0), (s1, _) = pairs[:2]
-    monkeypatch.setattr(unlock_module, "unlock_map", lambda b: ((s0, i0), (s1, i0)) + pairs[2:])
+    s0, s1 = enumerate_lkt(a)[:2]
+    plant_images({s1: apply_unlock(s0, a)[0]})
     message = f"unlock map is not injective on content {a}"
     with pytest.raises(TheoremViolation, match=re.escape(message)):
-        unlock_image(a)
-
-
-def test_unlock_image_refuses_an_image_outside_the_key_tableaux(monkeypatch):
-    a = (1, 0, 2, 1)
-    pairs = unlock_module.unlock_map(a)
-    keys = set(enumerate_kkt(a))
-    stray = next(t for t, _ in pairs if t not in keys)  # a lock tableau, not a key tableau
-    monkeypatch.setattr(
-        unlock_module, "unlock_map",
-        lambda b: tuple((t, stray if t == stray else img) for t, img in pairs),
-    )
-    message = f"unlock image {stray.entries} of {stray.entries} is not a key tableau of {a}"
-    with pytest.raises(TheoremViolation, match=re.escape(message)):
-        unlock_image(a)
+        unlock_module.unlock_map(a)
 
 
 def test_unlock_images_are_the_enumerated_key_tableaux():
@@ -358,13 +363,16 @@ def test_unlock_images_are_the_enumerated_key_tableaux():
     unlock_module.unlock_map.cache_clear()
     comps = [a for n in range(1, 5) for a in itertools.product(range(4), repeat=n) if any(a)]
     for a in comps + list(SPOT_COMPOSITIONS):
-        keys = {t: t for t in enumerate_kkt(a)}
-        for t, image in unlock_module.unlock_map(a):
-            assert image is keys[image], (a, t.entries)
+        keys, locks = enumerate_kkt(a), enumerate_lkt(a)
+        image = unlock_module.unlock_map(a)
+        assert len(image) == len(locks) and all(type(k) is int for k in image), a
+        for t, k in zip(locks, image):
+            assert keys[k] == apply_unlock(t, a)[0], (a, t.entries)
+        assert unlock_image(a) == tuple(sorted(keys[k] for k in image))
 
 
 @pytest.mark.parametrize("plant", ["lock tableau", "relabeled image"])
-def test_unlock_map_keeps_an_image_outside_the_key_tableaux(monkeypatch, plant):
+def test_unlock_map_refuses_an_image_outside_the_key_tableaux(plant_images, plant):
     a = (1, 0, 2, 1)
     keys = set(enumerate_kkt(a))
     if plant == "lock tableau":  # a lock tableau that is not a key tableau
@@ -373,18 +381,12 @@ def test_unlock_map_keeps_an_image_outside_the_key_tableaux(monkeypatch, plant):
         source = enumerate_lkt(a)[0]
         true_image = apply_unlock(source, a)[0]
         image = LabeledDiagram(tuple((cell, l + 1) for cell, l in true_image.entries))
-    apply = unlock_module.apply_unlock
-    monkeypatch.setattr(
-        unlock_module, "apply_unlock", lambda t, b: (image, None) if t == source else apply(t, b)
-    )
-    unlock_module.unlock_map.cache_clear()
-    try:
-        assert dict(unlock_module.unlock_map(a))[source] is image
-        message = f"unlock image {image.entries} of {source.entries} is not a key tableau of {a}"
-        with pytest.raises(TheoremViolation, match=re.escape(message)):
-            unlock_image(a)
-    finally:
-        unlock_module.unlock_map.cache_clear()  # drop the planted image
+    plant_images({source: image})
+    message = f"unlock image {image.entries} of {source.entries} is not a key tableau of {a}"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        unlock_module.unlock_map(a)
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        unlock_image(a)
 
 
 def test_unlock_weight_preserving_and_injective_sweep():

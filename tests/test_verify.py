@@ -214,11 +214,10 @@ def test_intertwining_catches_swapped_images(monkeypatch):
     original = verify.unlock_map
 
     def swapped(a):
-        pairs = list(original(a))
+        image = list(original(a))
         if a == (1, 0, 2, 1):
-            (s0, i0), (s1, i1) = pairs[:2]
-            pairs[:2] = [(s0, i1), (s1, i0)]
-        return tuple(pairs)
+            image[0], image[1] = image[1], image[0]
+        return tuple(image)
 
     monkeypatch.setattr(verify, "unlock_map", swapped)
     assert check_intertwining((1, 0, 2, 1)).startswith("raising color ")
@@ -229,13 +228,9 @@ def test_intertwining_catches_a_missing_key_edge(monkeypatch):
 
     a = (1, 0, 2, 1)
     lock, key = verify.crystal_graph(a, "lock"), verify.crystal_graph(a, "key")
-    images = dict(verify.unlock_map(a))
+    image = verify.unlock_map(a)
     u, v, color = lock.edges[-1]
-    needed = (
-        key.vertices.index(images[lock.vertices[u]]),
-        key.vertices.index(images[lock.vertices[v]]),
-        color,
-    )
+    needed = (image[u], image[v], color)
     assert needed in key.edges
     thinned = dataclasses.replace(key, edges=tuple(e for e in key.edges if e != needed))
     original = verify.crystal_graph
@@ -248,20 +243,22 @@ def test_intertwining_catches_a_missing_key_edge(monkeypatch):
 
 
 def test_intertwining_catches_an_image_outside_the_key_crystal(monkeypatch):
-    import kohnert.verify as verify
+    import kohnert.unlock as unlock
 
     a = (1, 0, 2, 1)
-    lock, key = verify.crystal_graph(a, "lock"), verify.crystal_graph(a, "key")
-    u, v, color = lock.edges[0]
-    stray = lock.vertices[v]  # a lock tableau that is not a key tableau
-    assert stray not in key.vertices
-    original = verify.unlock_map
+    lock, key = unlock.enumerate_tableaux(a, "lock"), unlock.enumerate_tableaux(a, "key")
+    stray = next(t for t in lock if t not in key)  # a lock tableau that is not a key tableau
+    apply = unlock.apply_unlock
     monkeypatch.setattr(
-        verify,
-        "unlock_map",
-        lambda b: tuple((t, stray if t == stray else img) for t, img in original(b)),
+        unlock, "apply_unlock", lambda t, b: (stray, None) if t == stray else apply(t, b)
     )
-    assert check_intertwining(a) == f"raising color {color} fails on {stray.entries}"
+    unlock.unlock_map.cache_clear()
+    try:
+        [report] = run_checks(["intertwine"], SweepRange(0, 0), [a])
+    finally:
+        unlock.unlock_map.cache_clear()
+    witness = f"unlock image {stray.entries} of {stray.entries} is not a key tableau of {a}"
+    assert report.failures == ((a, witness),)
 
 
 def test_agreement_catches_wrong_truncation(monkeypatch):
