@@ -159,6 +159,10 @@ def _cmd_map(args) -> int:
 def _cmd_verify(args) -> int:
     names = list(ALL_CHECKS) if args.check == "all" else [args.check]
     rng = SweepRange(max_length=args.max_len, max_part=args.max_part)
+    if rng.max_length > MAX_CELLS:  # the size test below passes any length at --max-part 0
+        raise ValueError(
+            f"sweep length {rng.max_length} (max-len) exceeds the limit of {MAX_CELLS} parts"
+        )
     if rng.max_length * rng.max_part > MAX_CELLS:
         raise ValueError(
             f"sweep size {rng.max_length * rng.max_part} (max-len * max-part) "

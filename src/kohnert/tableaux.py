@@ -18,13 +18,14 @@ from .core import (
     Composition,
     Diagram,
     TheoremViolation,
+    _check_parts,
     _masks,
     cached_on_composition,
     family_closure,
     flatten,
     grid_ascii,
     is_lock,
-    weight,
+    lock_diagram,
 )
 
 Entry = tuple[Cell, int]
@@ -271,15 +272,15 @@ def enumerate_lkt(a: Composition) -> tuple[LabeledDiagram, ...]:
 
 def lock_source_tableau(a: Composition) -> LabeledDiagram:
     """The unique lock Kohnert tableau of content ``a`` and weight flatten(a):
-    the labeling of the one lock closure diagram of that weight, the only
-    diagram labeled."""
-    target = flatten(a)
-    found = [d for d in family_closure(a, "lock") if weight(d) == target]
-    if len(found) != 1:
-        raise TheoremViolation(f"{len(found)} lock closure diagrams of weight {target} for {a}")
-    t = label_lock(found[0], a)
+    the labeling of ``lock_diagram(flatten(a))``, whose rows are the nonzero
+    rows of the lock diagram of ``a``, each shifted down whole into the empty
+    rows below it.  No closure is searched; ``verify``'s positivity check
+    confirms that this is the only lock closure diagram of that weight."""
+    _check_parts(a)  # flatten would drop a negative part, a False or a 0.0 unseen
+    d = lock_diagram(flatten(a))
+    t = label_lock(d, a)
     if t is None:
-        raise TheoremViolation(f"closure diagram {found[0].cells} of {a} has no lock labeling")
+        raise TheoremViolation(f"source diagram {d.cells} of {a} has no lock labeling")
     return t
 
 

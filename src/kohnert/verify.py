@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, TheoremViolation, padded_weight
+from .core import Composition, TheoremViolation, flatten, padded_weight, weight
 from .crystal import crystal_graph, is_connected
 from .poly import (
     classify_symmetry,
@@ -27,16 +27,14 @@ from .poly import (
     schur_polynomial,
     subtract,
 )
-from .tableaux import enumerate_tableaux, truncate_below, validate_kkt
+from .tableaux import enumerate_tableaux, lock_source_tableau, truncate_below, validate_kkt
 from .unlock import rectify_move, schedule_groups, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
 #: past it before listing any.  A full ``verify`` costs about 5 ms and 0.1 MB
-#: per composition at 3,906 (length <= 5, parts <= 4: 20 s and 375 MB, down
-#: from 22 s and 468 MB before unlock images shared the key tableaux' objects;
-#: 2 vCPUs, Python 3.11.7) and more on larger ranges, so this keeps one under
-#: half a gigabyte and a minute; the default range holds 341 and the
-#: benchmark's 392.
+#: per composition at 3,906 (length <= 5, parts <= 4: 20 s and 375 MB; 2 vCPUs,
+#: Python 3.11.7) and more on larger ranges, so this keeps one under half a
+#: gigabyte and a minute; the default range holds 341 and the benchmark's 392.
 MAX_SWEEP = 4_000
 
 #: Larger shapes swept in addition to the range; they exercise multi-swap
@@ -141,14 +139,17 @@ def _sweep(
 
 def check_positivity(a: Composition) -> str | None:
     """Key minus lock is monomial positive, each polynomial is the
-    generating polynomial of its family's tableaux, and every enumerated key
-    tableau passes ``validate_kkt``.
+    generating polynomial of its family's tableaux, every enumerated key
+    tableau passes ``validate_kkt``, and exactly one lock tableau has weight
+    flatten(a): the one ``lock_source_tableau`` builds.
 
     For keys the second statement is Kohnert's theorem, checked against the
     Demazure operators that compute the key polynomial; for locks it checks
     the closure-weight count against the labeled tableaux.  The third is the
     labeling theorem: ``label_key`` does not re-check its own picks, so this
-    is where each key tableau is validated.
+    is where each key tableau is validated.  The fourth is where ``map``'s
+    source is checked: ``lock_source_tableau`` builds its diagram without
+    the closure search that counts the lock tableaux here.
     """
     key, lock = key_polynomial(a), lock_polynomial(a)
     for kind, p in (("key", key), ("lock", lock)):
@@ -160,6 +161,16 @@ def check_positivity(a: Composition) -> str | None:
         weights = Counter(padded_weight(t.diagram, len(a)) for t in tableaux)
         if weights != dict(p.terms):
             return f"{kind} polynomial is not the weight count of the {kind} tableaux"
+    flat = flatten(a)
+    found = [t for t in tableaux if weight(t.diagram) == flat]  # the loop ends on locks
+    if len(found) != 1:
+        return f"{len(found)} lock tableaux have weight {flat}, not exactly one"
+    source = lock_source_tableau(a)
+    if source != found[0]:
+        return (
+            f"lock source {source.entries} is not the lock tableau {found[0].entries} "
+            f"of weight {flat}"
+        )
     diff = subtract(key, lock)
     if not is_monomial_positive(diff):
         return f"key - lock has a negative term: {diff}"

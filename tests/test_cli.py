@@ -135,6 +135,27 @@ def test_map_default_source(capsys):
     assert data[0]["output"] == [[1, 1, 2], [1, 2, 2], [2, 1, 3], [2, 2, 3], [2, 3, 3]]
 
 
+def test_map_default_source_searches_no_closure(monkeypatch, capsys):
+    import kohnert.core as core
+    import kohnert.poly as poly
+    import kohnert.tableaux as tableaux
+
+    # the closure's one lock tableau of weight (2, 3), found before the search is refused
+    [expected] = [t for t in tableaux.enumerate_tableaux((0, 2, 3), "lock")
+                  if core.weight(t.diagram) == (2, 3)]
+
+    def refuse(*args):
+        raise AssertionError(f"closure searched for {args}")
+
+    for module in (core, poly, tableaux, cli):
+        monkeypatch.setattr(module, "family_closure", refuse)
+    monkeypatch.setattr(core, "kohnert_closure", refuse)
+    assert tableaux.lock_source_tableau((0, 2, 3)) == expected
+    code, out, _ = run_cli(capsys, "map", "--comp", "0,2,3", "--format", "json")
+    assert code == 0
+    assert [item["input"] for item in json.loads(out)] == [expected.to_json()]
+
+
 def test_map_all_with_traces(capsys):
     code, out, _ = run_cli(capsys, "map", "--comp", "1,0,2,1", "--all", "--trace", "--format", "json")
     assert code == 0
@@ -320,6 +341,14 @@ def test_oversized_sweep_is_a_usage_error():
             f"limit of {MAX_SWEEP} compositions") in proc.stderr
 
 
+def test_overlong_sweep_is_a_usage_error(capsys):
+    # --max-part 0 makes the size test pass any length, so the length has its own limit
+    code, out, err = run_cli(capsys, "verify", "--max-len", str(MAX_CELLS + 1), "--max-part", "0")
+    assert code == 2
+    assert out == ""
+    assert f"sweep length {MAX_CELLS + 1} (max-len) exceeds the limit of {MAX_CELLS} parts" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -327,6 +356,10 @@ def test_oversized_sweep_is_a_usage_error():
         ["poly", "--kind", "lock", "--comp", str(MAX_CELLS)],
         ["poly", "--kind", "key", "--comp", ",".join(["1"] + ["0"] * (MAX_CELLS - 2) + ["1"])],
         ["verify", "--check", "positivity", "--max-len", "1", "--max-part", str(MAX_CELLS)],
+        ["verify", "--check", "positivity", "--max-len", str(MAX_CELLS), "--max-part", "0"],
+        # lock closures far past MAX_CLOSURE: map builds its source without one
+        ["map", "--comp", ",".join(["0"] * 63 + ["64"])],
+        ["map", "--comp", ",".join(["0"] * (MAX_CELLS - 1) + [str(MAX_CELLS)])],
     ],
 )
 def test_inputs_at_the_size_limit_run(capsys, argv):

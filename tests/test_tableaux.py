@@ -208,6 +208,19 @@ def test_lock_source_tableau_labels_only_its_diagram(monkeypatch):
         lock_source_tableau((0, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[0, 2, 3], (0, -1, 2), (0, False, 2), (True, 2), (0.0, 2), (2.0, 1), (1, 2.5)],
+)
+def test_lock_source_tableau_refuses_bad_parts_before_flattening(monkeypatch, a):
+    import kohnert.tableaux as tableaux
+
+    # flatten drops a negative part, a False and a 0.0, so they must be refused before it runs
+    monkeypatch.setattr(tableaux, "flatten", lambda b: pytest.fail(f"flattened {b}"))
+    with pytest.raises(ValueError, match="a weak composition is a tuple of nonnegative integer"):
+        lock_source_tableau(a)
+
+
 def test_truncate_below():
     t = UNLOCK_103032_CHAIN[0]
     assert truncate_below(t, 5) == TRUNC_103032_BELOW_5

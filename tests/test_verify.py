@@ -208,6 +208,45 @@ def test_positivity_catches_a_labeling_that_is_not_a_key_tableau(
     assert report.failures == ((a, witness),)
 
 
+def test_positivity_catches_a_lock_source_that_is_not_the_one_of_its_weight(monkeypatch):
+    import kohnert.verify as verify
+
+    a = (1, 0, 2, 1)
+    lock_source_tableau = verify.lock_source_tableau
+    source = lock_source_tableau(a)
+    other = next(t for t in verify.enumerate_tableaux(a, "lock") if t != source)
+    monkeypatch.setattr(
+        verify, "lock_source_tableau", lambda b: other if b == a else lock_source_tableau(b)
+    )
+    witness = (f"lock source {other.entries} is not the lock tableau {source.entries} "
+               f"of weight (1, 2, 1)")
+    assert check_positivity(a) == witness
+    [report] = run_checks(["positivity"], SweepRange(0, 0), [a])
+    assert report.failures == ((a, witness),)
+
+
+def test_positivity_catches_two_lock_tableaux_of_the_source_weight(
+    monkeypatch, cold_polynomials, cold_tableaux
+):
+    poly, tableaux = cold_polynomials, cold_tableaux
+    a = (1, 0, 2, 1)
+    source = tableaux.lock_source_tableau(a)
+    family_closure = tableaux.family_closure
+
+    def doubled(b, kind):
+        # a closure search that finds the source diagram twice, for the
+        # lock polynomial and the lock enumeration alike
+        found = family_closure(b, kind)
+        return found + (source.diagram,) if (b, kind) == (a, "lock") else found
+
+    monkeypatch.setattr(poly, "family_closure", doubled)
+    monkeypatch.setattr(tableaux, "family_closure", doubled)
+    witness = "2 lock tableaux have weight (1, 2, 1), not exactly one"
+    assert check_positivity(a) == witness
+    [report] = run_checks(["positivity"], SweepRange(0, 0), [a])
+    assert report.failures == ((a, witness),)
+
+
 def test_intertwining_catches_swapped_images(monkeypatch):
     import kohnert.verify as verify
 
