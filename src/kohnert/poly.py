@@ -196,14 +196,16 @@ def lock_polynomial(a: Composition) -> SparsePolynomial:
 
 
 def is_symmetric(p: SparsePolynomial) -> bool:
-    """Invariance under every adjacent transposition of variable indices."""
+    """Invariance under every adjacent transposition of variable indices.
+    A transposition of two equal exponents gives the same term back, so
+    only the unequal neighbours of each term are swapped."""
     coeffs = dict(p.terms)
-    for i in range(p.n - 1):
-        for exp, coef in p.terms:
-            swapped = list(exp)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if coeffs.get(tuple(swapped), 0) != coef:
-                return False
+    for exp, coef in p.terms:
+        for i in range(p.n - 1):
+            if exp[i] != exp[i + 1]:
+                swapped = exp[:i] + (exp[i + 1], exp[i]) + exp[i + 2:]
+                if coeffs.get(swapped, 0) != coef:
+                    return False
     return True
 
 

@@ -1,11 +1,13 @@
 """Rectification and the unlock map into key tableaux.
 
 Rectification operators push one box from column i+1 to column i on bare
-diagrams.  Unlock operators do the same on labeled diagrams, first swapping
-the moving box past any strings it crosses so that the labels land in a
-valid key Kohnert tableau.  Driven by the schedule built from the flattened
-content, unlock sends every lock Kohnert tableau to a key Kohnert tableau
-of the same content and weight, injectively.
+diagrams.  ``rectify_move`` finds that box on row masks; it is the one
+rectification kernel, and ``apply_unlock``'s shadow runs on it too.  Unlock
+operators do the same on labeled diagrams, first swapping the moving box
+past any strings it crosses so that the labels land in a valid key Kohnert
+tableau.  Driven by the schedule built from the flattened content, unlock
+sends every lock Kohnert tableau to a key Kohnert tableau of the same
+content and weight, injectively.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ from .core import (
 from .tableaux import LabeledDiagram, enumerate_tableaux, validate_kkt, validate_lkt
 
 
-def _surplus_peak(rows: list[int] | tuple[int, ...], i: int) -> tuple[int, int]:
-    """The maximum over rows r (at least 0) of the column surplus, boxes of
-    column i+1 at or above row r minus those of column i, for the row masks
-    ``rows``, and the largest row attaining it when positive, in one
-    top-down pass.  Rectification pushes the box of column i+1 in that row."""
+def rectify_move(rows: list[int] | tuple[int, ...], i: int) -> tuple[Cell, Cell] | None:
+    """The (source, target) cells of the rectification push on the row masks
+    ``rows``, or None.
+
+    One top-down pass finds the largest row r where the column surplus,
+    boxes of column i+1 at or above row r minus those of column i, attains
+    its positive maximum; the box there moves from column i+1 to column i.
+    That row holds a box in column i+1 and none in column i.
+    """
     if i < 1:
         raise ValueError("indices must be positive")
     best = row = surplus = 0
@@ -41,28 +47,13 @@ def _surplus_peak(rows: list[int] | tuple[int, ...], i: int) -> tuple[int, int]:
         surplus += (pair >> 1) - (pair & 1)
         if surplus > best:
             best, row = surplus, r
-    return best, row
-
-
-def rectify_move(d: Diagram, i: int) -> tuple[Cell, Cell] | None:
-    """The (source, target) cells of the rectification push, or None.
-
-    The box at the largest row where the column surplus attains its
-    positive maximum moves from column i+1 to column i.
-    """
-    best, r = _surplus_peak(d.rows, i)
-    if best <= 0:
-        return None
-    return (r, i + 1), (r, i)
+    return None if best == 0 else ((row, i + 1), (row, i))
 
 
 def rectify(d: Diagram, i: int) -> Diagram | None:
     """Push one box of column i+1 left to column i, or None if none may move."""
-    move = rectify_move(d, i)
-    if move is None:
-        return None
-    src, dst = move
-    return d.move(src, dst)
+    move = rectify_move(d.rows, i)
+    return None if move is None else d.move(*move)
 
 
 def rectify_by_pairing(d: Diagram, i: int) -> Diagram | None:
@@ -151,17 +142,15 @@ class _UnlockState:
     """One labeled diagram under unlock operators, updated in place.
 
     ``row_in[c]`` maps each label with a box in column c to that box's row,
-    ``spans`` holds each label's column mask (bit c - 1 for column c), and
-    ``rows`` the diagram's row masks.  A label holds at most one box per
-    column: input breaking that is a ValueError, and a push that would
-    break it a TheoremViolation.
+    and ``spans`` holds each label's column mask (bit c - 1 for column c).
+    A label holds at most one box per column: input breaking that is a
+    ValueError, and a push that would break it a TheoremViolation.
     """
 
-    __slots__ = ("row_in", "spans", "rows")
+    __slots__ = ("row_in", "spans")
 
     def __init__(self, t: LabeledDiagram) -> None:
-        rows = t.diagram.rows
-        width = max((mask.bit_length() for mask in rows), default=0)
+        width = max((mask.bit_length() for mask in t.diagram.rows), default=0)
         row_in: list[dict[int, int]] = [{} for _ in range(width + 1)]  # entry 0 unused
         spans: dict[int, int] = {}
         for (r, c), label in t.entries:
@@ -172,12 +161,11 @@ class _UnlockState:
             spans[label] = spans.get(label, 0) | 1 << (c - 1)
         self.row_in = row_in
         self.spans = spans
-        self.rows = list(rows)
 
     def tableau(self) -> LabeledDiagram:
         """The labeled diagram now held, with its diagram built from the
-        labels' cells, not from ``rows``, so that ``apply_unlock``'s weight
-        check reads the output's own cells."""
+        labels' cells, so that ``apply_unlock``'s weight check reads the
+        output's own cells."""
         entries = tuple(sorted(
             ((r, c), l) for c, column in enumerate(self.row_in) for l, r in column.items()
         ))
@@ -217,16 +205,13 @@ class _UnlockState:
             swaps.append(((row, col), (below, col), label, other))
             row = below
         src, dst = (row, col), (row, i)
-        rows = self.rows
-        if rows[row - 1] >> (i - 1) & 1:
+        if row in left.values():
             raise TheoremViolation(f"unlock stuck: cannot push {src} left past occupied {dst}")
         if label in left:
             raise TheoremViolation(f"unlock would give label {label} two boxes in column {i}")
         del right[label]
         left[label] = row
-        moved = 1 << (col - 1) | 1 << (i - 1)
-        spans[label] ^= moved
-        rows[row - 1] ^= moved
+        spans[label] ^= 3 << (i - 1)  # columns i and i+1
         return UnlockStep(i, chosen, tuple(swaps), (src, dst))
 
 
@@ -257,9 +242,9 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
     """Run the full unlock schedule on a lock Kohnert tableau of content ``a``.
 
     A rectification shadow runs alongside on the underlying diagram's row
-    masks, and the two must agree after every step; the final tableau must
-    be a key Kohnert tableau of the same content and weight.  Any
-    disagreement is a TheoremViolation.
+    masks, and every unlock push must be the push ``rectify_move`` finds
+    there; the final tableau must be a key Kohnert tableau of the same
+    content and weight.  Any disagreement is a TheoremViolation.
     """
     if not validate_lkt(t, a):
         raise ValueError(f"input is not a lock Kohnert tableau of content {a}")
@@ -274,17 +259,19 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
                 f"unlock step {pos} (index {idx}) found nothing to move on "
                 f"{state.tableau().entries}"
             )
-        best, r = _surplus_peak(shadow, idx)
-        if best <= 0:
+        move = rectify_move(shadow, idx)
+        if move is None:
             raise TheoremViolation(
                 f"rectification step {pos} (index {idx}) vanished on {_cells(shadow)}"
             )
-        # the peak row holds a box in column idx + 1 and none in column idx
-        shadow[r - 1] ^= 3 << (idx - 1)
-        if state.rows != shadow:
+        shadow[move[0][0] - 1] ^= 3 << (idx - 1)
+        # both diagrams agreed before this step, and each push flips the
+        # same two columns of one row, so they agree after it exactly when
+        # both pushes are in the same row
+        if step.push != move:
             raise TheoremViolation(
                 f"unlock and rectification disagree after step {pos} (index {idx}): "
-                f"{_cells(state.rows)} vs {_cells(shadow)}"
+                f"{state.tableau().diagram.cells} vs {_cells(shadow)}"
             )
         steps.append(step)
     out = state.tableau()

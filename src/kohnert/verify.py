@@ -241,21 +241,22 @@ def check_agreement_and_truncation(a: Composition) -> str | None:
     longest = [idx for block in groups[:-1] for idx in block]
     for t in enumerate_tableaux(a, "lock"):
         # the untruncated diagram's moves along the longest prefix, up to
-        # the first None; every shorter prefix reads its start
+        # the first None; every shorter prefix reads its start.  Both walks
+        # run on row masks: a push flips columns idx and idx+1 of its row
         moves = []
-        full = t.diagram
+        full = list(t.diagram.rows)
         for idx in longest:
             move = rectify_move(full, idx)
             moves.append(move)
             if move is None:
                 break
-            full = full.move(*move)
+            full[move[0][0] - 1] ^= 3 << (idx - 1)
         for q in range(1, len(labels)):
             # truncating below labels[q] must keep the first p blocks' moves
             # for every p <= q; each of those prefixes starts this walk over
             # the first q blocks, so one walk covers them all
             bound = labels[q]
-            small = truncate_below(t, bound).diagram
+            small = list(truncate_below(t, bound).diagram.rows)
             for s in range(ends[q - 1]):
                 idx = longest[s]
                 move_full = moves[s]
@@ -271,7 +272,7 @@ def check_agreement_and_truncation(a: Composition) -> str | None:
                         f"rectification vanished at prefix step {s} "
                         f"(index {idx}) on {t.entries}"
                     )
-                small = small.move(*move_small)
+                small[move_small[0][0] - 1] ^= 3 << (idx - 1)
     return None
 
 

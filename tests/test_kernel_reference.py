@@ -216,7 +216,7 @@ def test_moves_pairings_and_rectification_match_definitions(closures):
             # both rectification formulations push the box the column
             # surplus picks
             move = reference.rectify_move(cells, i)
-            assert rectify_move(d, i) == move
+            assert rectify_move(d.rows, i) == move
             assert rectify_by_pairing(d, i) == (None if move is None else d.move(*move)), (cells, i)
 
 

@@ -87,12 +87,13 @@ def test_m_statistic_lock_023():
 def test_rectify_empty_right_column():
     d = diagram((1, 1), (2, 1))
     assert [reference.m_statistic(d.cells, 1, r) for r in (1, 2, 3)] == [-2, -1, 0]
-    assert rectify_move(d, 1) is None
+    assert rectify_move(d.rows, 1) is None
 
 
 def test_rectify_lock_023():
     d = lock_diagram((0, 2, 3))
-    assert rectify_move(d, 1) == ((2, 2), (2, 1))
+    assert rectify_move(d.rows, 1) == ((2, 2), (2, 1))
+    assert rectify_move(list(d.rows), 1) == ((2, 2), (2, 1))  # a mutable shadow
     assert rectify(d, 1) == d.move((2, 2), (2, 1))
 
 
@@ -235,21 +236,24 @@ def _unlock_fault(monkeypatch, name, fake, pattern, witness):
 
 
 def test_apply_unlock_fault_shadow_disagrees(monkeypatch):
-    real = unlock_module._surplus_peak
+    real = unlock_module.rectify_move
 
-    def peak_one_row_up(rows, i):  # the shadow pushes from the wrong row
-        best, r = real(rows, i)
-        return best, r % len(rows) + 1
+    def move_one_row_up(rows, i):  # the shadow pushes from the wrong row
+        move = real(rows, i)
+        if move is None:
+            return None
+        r = move[0][0] % len(rows) + 1
+        return (r, i + 1), (r, i)
 
     # the first step (index 2) pushes (1, 3) to (1, 2); the witness names
     # the unlocked cells after it
-    _unlock_fault(monkeypatch, "_surplus_peak", peak_one_row_up,
+    _unlock_fault(monkeypatch, "rectify_move", move_one_row_up,
                   re.escape("disagree after step 0 (index 2)"),
                   UNLOCK_103032_CHAIN[1].diagram.cells)
 
 
 def test_apply_unlock_fault_rectification_vanishes(monkeypatch):
-    _unlock_fault(monkeypatch, "_surplus_peak", lambda rows, i: (0, 0),
+    _unlock_fault(monkeypatch, "rectify_move", lambda rows, i: None,
                   re.escape("rectification step 0 (index 2) vanished"),
                   UNLOCK_103032_CHAIN[0].diagram.cells)
 
@@ -267,7 +271,7 @@ def test_apply_unlock_fault_weight_changed(monkeypatch):
 
 @pytest.mark.parametrize("d", [Diagram(), RECT_103032_CHAIN[0]], ids=["empty", "rect_103032"])
 @pytest.mark.parametrize("call", [
-    lambda d: rectify_move(d, 0),
+    lambda d: rectify_move(d.rows, 0),
     lambda d: rectify(d, 0),
     lambda d: rectify_by_pairing(d, 0),
     lambda d: raise_diagram(d, 0),
@@ -434,16 +438,16 @@ def test_unlock_stuck_fault_is_loud():
     # off-schedule input: pushing the 2 at (1,2) left collides with the 1,
     # and no string crosses, so the operator must abort rather than stall
     t = tableau((1, 1, 1), (1, 2, 2), (2, 2, 3))
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation, match="unlock stuck"):
         unlock_op(t, 1)
 
 
 def test_unlock_op_keeps_one_box_per_label_and_column():
     # a label with two boxes in one column is not input the operator accepts
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two boxes in column 2"):
         unlock_op(tableau((1, 2, 2), (2, 2, 2)), 1)
     # the 2 at (1,3) is not left justified, but column 2 already holds a 2
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation, match="two boxes in column 2"):
         unlock_op(tableau((2, 2, 2), (1, 3, 2)), 2)
 
 

@@ -323,6 +323,15 @@ def test_agreement_walks_past_the_first_block(monkeypatch):
     assert witness.startswith("truncation below 3 changes step 2 (index 1) on ")
 
 
+def test_agreement_reports_a_vanished_prefix_step(monkeypatch):
+    import kohnert.verify as verify
+
+    # both walks read verify's own rectify_move, so neither finds a push
+    monkeypatch.setattr(verify, "rectify_move", lambda rows, i: None)
+    witness = check_agreement_and_truncation((0, 2, 3))
+    assert witness.startswith("rectification vanished at prefix step 0 (index 1) on ")
+
+
 def test_positivity_catches_a_negative_term(monkeypatch):
     import kohnert.verify as verify
 
