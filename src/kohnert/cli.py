@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from .core import TheoremViolation, family_closure
 from .crystal import crystal_graph
 from .poly import polynomial, render_text
-from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau
+from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau, validate_lkt
 from .unlock import apply_unlock
 from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
 
@@ -103,6 +103,11 @@ def _cmd_crystal(args) -> int:
 
 
 def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
+    """The lock Kohnert tableau of content ``a`` that ``path`` holds as JSON.
+
+    It is the one tableau ``map`` takes from outside, and ``apply_unlock``
+    does not validate its input, so it is validated here: anything else is
+    a ValueError."""
     with open(path) as fh:
         text = fh.read(MAX_INPUT_CHARS + 1)
     if len(text) > MAX_INPUT_CHARS:
@@ -125,7 +130,10 @@ def _read_tableau(path: str, a: tuple[int, ...]) -> LabeledDiagram:
                     f"cell ({p[0]}, {p[1]}) lies outside rows 1..{n} and columns 1..{m}, "
                     f"so no lock Kohnert tableau of content {a} has it"
                 )
-    return LabeledDiagram.from_json(data)
+    t = LabeledDiagram.from_json(data)
+    if not validate_lkt(t, a):
+        raise ValueError(f"input is not a lock Kohnert tableau of content {a}")
+    return t
 
 
 def _cmd_map(args) -> int:

@@ -27,7 +27,7 @@ from .core import (
     flatten,
     weight,
 )
-from .tableaux import LabeledDiagram, enumerate_tableaux, validate_kkt, validate_lkt
+from .tableaux import LabeledDiagram, enumerate_tableaux
 
 
 def rectify_move(rows: list[int] | tuple[int, ...], i: int) -> tuple[Cell, Cell] | None:
@@ -164,8 +164,8 @@ class _UnlockState:
 
     def tableau(self) -> LabeledDiagram:
         """The labeled diagram now held, with its diagram built from the
-        labels' cells, so that ``apply_unlock``'s weight check reads the
-        output's own cells."""
+        labels' cells, so that ``unlock_map``'s membership and weight checks
+        read the output's own row masks."""
         entries = tuple(sorted(
             ((r, c), l) for c, column in enumerate(self.row_in) for l, r in column.items()
         ))
@@ -243,11 +243,24 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
 
     A rectification shadow runs alongside on the underlying diagram's row
     masks, and every unlock push must be the push ``rectify_move`` finds
-    there; the final tableau must be a key Kohnert tableau of the same
-    content and weight.  Any disagreement is a TheoremViolation.
+    there: that is the agreement theorem, and any disagreement is a
+    TheoremViolation.
+
+    Nothing else is checked here, because each other statement is checked
+    once where it is already implied or proved:
+
+    - the input is not validated: ``t`` must be a lock tableau of content
+      ``a``.  The enumerated lock tableaux and ``lock_source_tableau`` are
+      validated by ``verify``'s positivity check, and ``map --input``, the
+      one tableau read from outside, is validated where the CLI reads it;
+    - the output is not validated: ``unlock_map`` requires every image to be
+      an enumerated key tableau, and the positivity check validates each
+      of those;
+    - the weight is not compared: a push keeps its box in its row, and a
+      swap exchanges the labels of two cells without changing the cells, so
+      no step changes a row's cell count.  ``unlock_map`` compares each
+      source's and image's weight once.
     """
-    if not validate_lkt(t, a):
-        raise ValueError(f"input is not a lock Kohnert tableau of content {a}")
     sched = build_schedule(flatten(a))
     shadow = list(t.diagram.rows)  # the rectification shadow, as row masks
     state = _UnlockState(t)
@@ -275,13 +288,6 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
             )
         steps.append(step)
     out = state.tableau()
-    if not validate_kkt(out, a):
-        raise TheoremViolation(f"unlock output {out.entries} is not a key tableau of {a}")
-    before, after = weight(t.diagram), weight(out.diagram)
-    if after != before:
-        raise TheoremViolation(
-            f"unlock changed the weight of {t.diagram.cells} from {before} to {after}"
-        )
     return out, UnlockTrace(sched, tuple(steps), t, out)
 
 
@@ -291,8 +297,9 @@ def unlock_map(a: Composition) -> tuple[int, ...]:
     ``enumerate_tableaux(a, "key")``, of the image of the k-th tableau of
     ``enumerate_tableaux(a, "lock")``.  A padded content gets its stripped
     content's map.  This is the one check that unlock lands injectively in
-    the key tableaux: an image equal to no key tableau (found by its row
-    masks, one per closure diagram, then compared by its entries), or two
+    the key tableaux, and that it keeps the weight: an image equal to no key
+    tableau (found by its row masks, one per closure diagram, then compared
+    by its entries), an image whose weight differs from its source's, or two
     lock tableaux with one image, is a TheoremViolation."""
     keys = enumerate_tableaux(a, "key")
     index = {k.diagram.rows: i for i, k in enumerate(keys)}
@@ -303,6 +310,11 @@ def unlock_map(a: Composition) -> tuple[int, ...]:
         if k is None or keys[k].entries != out.entries:
             raise TheoremViolation(
                 f"unlock image {out.entries} of {t.entries} is not a key tableau of {a}"
+            )
+        before, after = weight(t.diagram), weight(out.diagram)
+        if after != before:
+            raise TheoremViolation(
+                f"unlock changed the weight of {t.diagram.cells} from {before} to {after}"
             )
         image.append(k)
     if len(set(image)) != len(image):

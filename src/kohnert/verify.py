@@ -27,7 +27,13 @@ from .poly import (
     schur_polynomial,
     subtract,
 )
-from .tableaux import enumerate_tableaux, lock_source_tableau, truncate_below, validate_kkt
+from .tableaux import (
+    enumerate_tableaux,
+    lock_source_tableau,
+    truncate_below,
+    validate_kkt,
+    validate_lkt,
+)
 from .unlock import rectify_move, schedule_groups, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
@@ -140,24 +146,25 @@ def _sweep(
 def check_positivity(a: Composition) -> str | None:
     """Key minus lock is monomial positive, each polynomial is the
     generating polynomial of its family's tableaux, every enumerated key
-    tableau passes ``validate_kkt``, and exactly one lock tableau has weight
-    flatten(a): the one ``lock_source_tableau`` builds.
+    tableau passes ``validate_kkt`` and every enumerated lock tableau
+    ``validate_lkt``, and exactly one lock tableau has weight flatten(a):
+    the one ``lock_source_tableau`` builds.
 
     For keys the second statement is Kohnert's theorem, checked against the
     Demazure operators that compute the key polynomial; for locks it checks
     the closure-weight count against the labeled tableaux.  The third is the
-    labeling theorem: ``label_key`` does not re-check its own picks, so this
-    is where each key tableau is validated.  The fourth is where ``map``'s
-    source is checked: ``lock_source_tableau`` builds its diagram without
-    the closure search that counts the lock tableaux here.
+    labeling theorem for both families: neither labeling re-checks its own
+    result, and ``apply_unlock`` does not validate its input or output, so
+    this is where each tableau of either family is validated.  The fourth
+    is where ``map``'s source is checked: ``lock_source_tableau`` builds its
+    diagram without the closure search that counts the lock tableaux here.
     """
     key, lock = key_polynomial(a), lock_polynomial(a)
-    for kind, p in (("key", key), ("lock", lock)):
+    for kind, p, validate in (("key", key, validate_kkt), ("lock", lock, validate_lkt)):
         tableaux = enumerate_tableaux(a, kind)
-        if kind == "key":
-            for t in tableaux:
-                if not validate_kkt(t, a):
-                    return f"key labeling {t.entries} is not a key tableau"
+        for t in tableaux:
+            if not validate(t, a):
+                return f"{kind} labeling {t.entries} is not a {kind} tableau"
         weights = Counter(padded_weight(t.diagram, len(a)) for t in tableaux)
         if weights != dict(p.terms):
             return f"{kind} polynomial is not the weight count of the {kind} tableaux"
@@ -232,9 +239,11 @@ def check_characterizations(a: Composition) -> str | None:
 
 def check_agreement_and_truncation(a: Composition) -> str | None:
     """Unlock agrees with rectification stepwise (asserted inside
-    apply_unlock), and truncating away large labels never changes which
-    cell a prefix rectification step moves."""
-    unlock_map(a)  # runs apply_unlock, with its internal shadow, on all of LKT(a)
+    apply_unlock, the one check it makes), and truncating away large labels
+    never changes which cell a prefix rectification step moves."""
+    # apply_unlock compares every push with its rectification shadow on all
+    # of LKT(a); unlock_map checks the images' membership and weights too
+    unlock_map(a)
     labels = [i + 1 for i, p in enumerate(a) if p > 0]
     groups = schedule_groups(tuple(p for p in a if p > 0))
     ends = list(itertools.accumulate(len(block) for block in groups[:-1]))

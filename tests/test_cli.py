@@ -182,6 +182,14 @@ def test_map_input_not_a_lock_tableau(tmp_path, capsys):
     assert "lock Kohnert tableau" in err
 
 
+def test_read_tableau_rejects_non_lock_input(tmp_path):
+    # apply_unlock does not validate its input: map --input's reader does
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps([[1, 1, 1]]))
+    with pytest.raises(ValueError):
+        cli._read_tableau(str(src), (0, 1))
+
+
 def test_map_input_that_is_not_a_lock_tableau_is_an_input_error(tmp_path, capsys):
     # the cells of a lock tableau of content (1, 0, 2, 1), with labels 3 and 4 swapped
     src = tmp_path / "t.json"

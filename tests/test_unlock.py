@@ -220,11 +220,6 @@ def test_apply_unlock_matches_walk_and_traces():
     assert data["output"] == UNLOCK_103032_CHAIN[-1].to_json()
 
 
-def test_apply_unlock_rejects_non_lock_input():
-    with pytest.raises(ValueError):
-        apply_unlock(tableau((1, 1, 1)), (0, 1))
-
-
 def _unlock_fault(monkeypatch, name, fake, pattern, witness):
     """Run ``apply_unlock`` on the first (1,0,3,0,3,2) chain tableau with
     ``kohnert.unlock.<name>`` replaced by ``fake``: it must raise a
@@ -258,15 +253,36 @@ def test_apply_unlock_fault_rectification_vanishes(monkeypatch):
                   UNLOCK_103032_CHAIN[0].diagram.cells)
 
 
-def test_apply_unlock_fault_output_not_a_key_tableau(monkeypatch):
-    _unlock_fault(monkeypatch, "validate_kkt", lambda t, a: False,
-                  "is not a key tableau", UNLOCK_103032_CHAIN[-1].entries)
+def _unlock_map_fault(monkeypatch, pattern, witness, keys=lambda ts: ts):
+    """Run ``unlock_map`` from a cold cache on (1,0,3,0,3,2), with the first
+    chain tableau as its one lock tableau and ``keys`` applied to its key
+    tableaux: it must raise a TheoremViolation matching ``pattern`` whose
+    message holds ``witness``."""
+    enumerate_tableaux = unlock_module.enumerate_tableaux
+    monkeypatch.setattr(
+        unlock_module,
+        "enumerate_tableaux",
+        lambda b, kind: (UNLOCK_103032_CHAIN[0],) if kind == "lock"
+        else keys(enumerate_tableaux(b, kind)),
+    )
+    unlock_module.unlock_map.cache_clear()  # a cached map would skip the fault
+    with pytest.raises(TheoremViolation, match=pattern) as info:
+        unlock_module.unlock_map((1, 0, 3, 0, 3, 2))
+    assert str(witness) in str(info.value)
 
 
-def test_apply_unlock_fault_weight_changed(monkeypatch):
+def test_unlock_map_fault_output_not_a_key_tableau(monkeypatch):
+    # the chain's last tableau, its true image, dropped from the key tableaux
+    image = UNLOCK_103032_CHAIN[-1]
+    _unlock_map_fault(monkeypatch, "is not a key tableau", image.entries,
+                      keys=lambda ts: tuple(k for k in ts if k != image))
+
+
+def test_unlock_map_fault_weight_changed(monkeypatch):
     weights = iter([(2, 1), (1, 2)])  # input first, then output
-    _unlock_fault(monkeypatch, "weight", lambda d: next(weights),
-                  re.escape("from (2, 1) to (1, 2)"), UNLOCK_103032_CHAIN[0].diagram.cells)
+    monkeypatch.setattr(unlock_module, "weight", lambda d: next(weights))
+    _unlock_map_fault(monkeypatch, re.escape("from (2, 1) to (1, 2)"),
+                      UNLOCK_103032_CHAIN[0].diagram.cells)
 
 
 @pytest.mark.parametrize("d", [Diagram(), RECT_103032_CHAIN[0]], ids=["empty", "rect_103032"])
@@ -353,8 +369,10 @@ def plant_images(monkeypatch):
 
 
 def test_unlock_map_refuses_a_repeated_image(plant_images):
-    a = (1, 0, 2, 1)
-    s0, s1 = enumerate_lkt(a)[:2]
+    # two lock tableaux of one weight, so that s0's image keeps s1's weight
+    # and only the repeat is at fault
+    a = (0, 0, 2, 1)
+    s0, s1 = [t for t in enumerate_lkt(a) if weight(t.diagram) == (1, 1, 1)][:2]
     plant_images({s1: apply_unlock(s0, a)[0]})
     message = f"unlock map is not injective on content {a}"
     with pytest.raises(TheoremViolation, match=re.escape(message)):

@@ -180,29 +180,35 @@ def cold_tableaux():
 
 
 @pytest.mark.parametrize("position", [0, -1])
-def test_positivity_catches_a_labeling_that_is_not_a_key_tableau(
-    monkeypatch, cold_tableaux, position
+@pytest.mark.parametrize("kind", ["key", "lock"])
+def test_positivity_catches_a_labeling_that_is_not_a_tableau_of_its_family(
+    monkeypatch, cold_tableaux, kind, position
 ):
+    # neither labeling validates its result and apply_unlock validates
+    # neither its input nor its output, so positivity is where both fire
     tableaux = cold_tableaux
     a = (1, 0, 2, 1)
-    target = tableaux.enumerate_tableaux(a, "key")[position]
+    target = tableaux.enumerate_tableaux(a, kind)[position]
     tableaux.enumerate_tableaux.cache_clear()
-    label_key = tableaux.label_key
+    name = f"label_{kind}"
+    label = getattr(tableaux, name)
+    full = 1 if kind == "key" else max(a)  # the column every nonzero part's label fills
 
     def swapped(d, b):
-        # on the target's diagram only, swap the labels of column 1's two lowest cells
-        t = label_key(d, b)
+        # on the target's diagram only, swap the labels of that column's two lowest cells
+        t = label(d, b)
         if d != target.diagram:
             return t
         entries = list(t.entries)
-        i, j = [k for k, ((_, c), _) in enumerate(entries) if c == 1][:2]
+        i, j = [k for k, ((_, c), _) in enumerate(entries) if c == full][:2]
         entries[i], entries[j] = (entries[i][0], entries[j][1]), (entries[j][0], entries[i][1])
         return tableaux.LabeledDiagram(tuple(entries))
 
-    monkeypatch.setattr(tableaux, "label_key", swapped)
-    [bad] = [t for t in tableaux.enumerate_tableaux(a, "key") if t.diagram == target.diagram]
-    assert bad != target and not tableaux.validate_kkt(bad, a)
-    witness = f"key labeling {bad.entries} is not a key tableau"
+    monkeypatch.setattr(tableaux, name, swapped)
+    [bad] = [t for t in tableaux.enumerate_tableaux(a, kind) if t.diagram == target.diagram]
+    validate = tableaux.validate_kkt if kind == "key" else tableaux.validate_lkt
+    assert bad != target and not validate(bad, a)
+    witness = f"{kind} labeling {bad.entries} is not a {kind} tableau"
     assert check_positivity(a) == witness
     [report] = run_checks(["positivity"], SweepRange(0, 0), [a])
     assert report.failures == ((a, witness),)
@@ -297,6 +303,30 @@ def test_intertwining_catches_an_image_outside_the_key_crystal(monkeypatch):
     finally:
         unlock.unlock_map.cache_clear()
     witness = f"unlock image {stray.entries} of {stray.entries} is not a key tableau of {a}"
+    assert report.failures == ((a, witness),)
+
+
+@pytest.mark.parametrize("check", ["intertwine", "agreement"])
+def test_unlock_checks_catch_an_image_of_another_weight(monkeypatch, check):
+    import kohnert.unlock as unlock
+
+    # a key tableau of another weight planted as the first lock tableau's image
+    a = (1, 0, 2, 1)
+    source = unlock.enumerate_tableaux(a, "lock")[0]
+    before = unlock.weight(source.diagram)
+    image = next(k for k in unlock.enumerate_tableaux(a, "key")
+                 if unlock.weight(k.diagram) != before)
+    apply = unlock.apply_unlock
+    monkeypatch.setattr(
+        unlock, "apply_unlock", lambda t, b: (image, None) if t == source else apply(t, b)
+    )
+    unlock.unlock_map.cache_clear()
+    try:
+        [report] = run_checks([check], SweepRange(0, 0), [a])
+    finally:
+        unlock.unlock_map.cache_clear()
+    witness = (f"unlock changed the weight of {source.diagram.cells} "
+               f"from {before} to {unlock.weight(image.diagram)}")
     assert report.failures == ((a, witness),)
 
 
