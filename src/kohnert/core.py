@@ -104,7 +104,7 @@ class Diagram:
 
     @property
     def max_col(self) -> int:
-        return max((mask.bit_length() for mask in self.rows), default=0)
+        return max(self.rows, default=0).bit_length()  # the widest row is the largest mask
 
     def __contains__(self, cell: Cell) -> bool:
         r, c = cell
@@ -154,7 +154,7 @@ def grid_ascii(marks: dict[Cell, str]) -> str:
 
 def weight(d: Diagram) -> Composition:
     """Cells per row, from row 1 up to the highest nonempty row."""
-    return tuple(mask.bit_count() for mask in d.rows)
+    return tuple(map(int.bit_count, d.rows))
 
 
 def padded_weight(d: Diagram, n: int) -> Composition:

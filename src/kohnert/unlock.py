@@ -12,8 +12,8 @@ content and weight, injectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     Cell,
@@ -102,8 +102,7 @@ def build_schedule(alpha: Composition) -> tuple[int, ...]:
     return tuple(idx for block in schedule_groups(alpha) for idx in block)
 
 
-@dataclass(frozen=True)
-class UnlockStep:
+class UnlockStep(NamedTuple):
     """One unlock operator application: the chosen box, its swaps, its push."""
 
     op: int
@@ -120,8 +119,7 @@ class UnlockStep:
         }
 
 
-@dataclass(frozen=True)
-class UnlockTrace:
+class UnlockTrace(NamedTuple):
     """Record of a full unlock run: the schedule, and every step's swaps and push."""
 
     schedule: tuple[int, ...]
@@ -150,7 +148,7 @@ class _UnlockState:
     __slots__ = ("row_in", "spans")
 
     def __init__(self, t: LabeledDiagram) -> None:
-        width = max((mask.bit_length() for mask in t.diagram.rows), default=0)
+        width = max(t.diagram.rows, default=0).bit_length()  # the widest row is the largest mask
         row_in: list[dict[int, int]] = [{} for _ in range(width + 1)]  # entry 0 unused
         spans: dict[int, int] = {}
         for (r, c), label in t.entries:
@@ -166,11 +164,10 @@ class _UnlockState:
         """The labeled diagram now held, with its diagram built from the
         labels' cells, so that ``unlock_map``'s membership and weight checks
         read the output's own row masks."""
-        entries = tuple(sorted(
-            ((r, c), l) for c, column in enumerate(self.row_in) for l, r in column.items()
-        ))
+        entries = [((r, c), l) for c, column in enumerate(self.row_in) for l, r in column.items()]
+        entries.sort()
         cells = tuple(cell for cell, _ in entries)
-        return LabeledDiagram._trusted(entries, Diagram._trusted(cells, _masks(cells)))
+        return LabeledDiagram._trusted(tuple(entries), Diagram._trusted(cells, _masks(cells)))
 
     def op(self, i: int) -> UnlockStep | None:
         """Apply the unlock operator of index i (see ``unlock_op``) in place;
@@ -183,24 +180,28 @@ class _UnlockState:
         left = self.row_in[i]
         spans = self.spans
         justified = (1 << i) - 1  # columns 1..i
-        candidates = [(l, r) for l, r in right.items() if spans[l] & justified != justified]
-        if not candidates:
+        # the smallest label among the boxes not yet left justified; a column's
+        # labels are distinct keys, so this is the smallest (label, row)
+        label = None
+        for l, r in right.items():
+            if (label is None or l < label) and spans[l] & justified != justified:
+                label, row = l, r
+        if label is None:
             return None
-        label, row = min(candidates)
         chosen = (row, col, label)
         swaps: list[tuple[Cell, Cell, int, int]] = []
         while True:
             # strings crossing the moving box: a box in column i weakly above
-            # it and one in column i+1 strictly below it (the box's own label
-            # sits at ``row`` itself, so it never qualifies)
-            crossing = max(
-                ((anchor, l, r) for l, r in right.items()
-                 if r < row and (anchor := left.get(l, 0)) >= row),
-                default=None,
-            )
-            if crossing is None:
+            # it (its anchor) and one in column i+1 strictly below it (the
+            # box's own label sits at ``row`` itself, so it never qualifies).
+            # The highest anchor crosses first; column i holds each row at
+            # most once, so anchors are distinct and need no tie-break.
+            anchor = row - 1
+            for l, r in right.items():
+                if r < row and (top := left.get(l, 0)) > anchor:
+                    anchor, other, below = top, l, r
+            if anchor < row:
                 break
-            _, other, below = crossing
             right[other], right[label] = row, below
             swaps.append(((row, col), (below, col), label, other))
             row = below

@@ -27,6 +27,7 @@ from kohnert import (
     rectify_move,
     validate_kkt,
     validate_lkt,
+    weight,
 )
 from kohnert.crystal import _push_unpaired
 
@@ -313,6 +314,10 @@ def test_trusted_diagram_is_the_validated_one(raw, other_raw):
     other = Diagram(tuple(other_raw))
     assert trusted == checked and hash(trusted) == hash(checked) == hash((cells,))
     assert trusted.rows == checked.rows
+    assert (trusted.max_col, weight(trusted)) == (
+        max((mask.bit_length() for mask in rows), default=0),
+        tuple(mask.bit_count() for mask in rows),
+    )
     assert (trusted < other) == (checked < other) and (other < trusted) == (other < checked)
     assert sorted([other, trusted]) == sorted([checked, other])
 
@@ -336,9 +341,9 @@ def test_trusted_labeled_diagram_is_the_validated_one(labels, other_labels):
 
 def test_unlock_traces_match_dict_reference():
     runs = 0
-    for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS)):
+    for a in dict.fromkeys(COMPOSITIONS + list(SPOT_COMPOSITIONS) + LONG_INTERLEAVED):
         for t in enumerate_lkt(a):
             _, trace = apply_unlock(t, a)
             assert trace.to_json() == reference.unlock_trace(t.entries, a), (a, t.entries)
             runs += 1
-    assert runs == 5820
+    assert runs == 5820 + 10876  # LONG_INTERLEAVED adds 10,876 lock tableaux

@@ -475,6 +475,27 @@ def test_schedule_type_is_plain_data():
     assert s == (2, 1, 1, 2)
 
 
+def test_unlock_records_are_plain_tuples():
+    a = (1, 0, 3, 0, 3, 2)
+    swaps = 0
+    for t in enumerate_lkt(a):
+        out, trace = apply_unlock(t, a)
+        assert isinstance(trace, tuple)
+        assert tuple(trace) == (build_schedule(flatten(a)), trace.steps, t, out)
+        for step in trace.steps:
+            assert isinstance(step, tuple)
+            assert tuple(step) == (step.op, step.chosen, step.swaps, step.push)
+            swaps += len(step.swaps)
+        for record, field in [(trace, "final"), *((step, "push") for step in trace.steps)]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            hash(record)
+        assert list(trace.to_json()) == ["schedule", "steps", "input", "output"]
+        for step in trace.steps:
+            assert list(step.to_json()) == ["op", "chosen", "swaps", "push"]
+    assert swaps > 0
+
+
 @pytest.mark.parametrize("module", [kohnert.crystal, unlock_module], ids=["crystal", "unlock"])
 def test_crystal_and_unlock_are_siblings_over_core_and_tableaux(module):
     """The pairing kernel both use lives in ``core``, so neither ``crystal``
