@@ -18,7 +18,7 @@ from .crystal import crystal_graph
 from .poly import polynomial, render_text
 from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau, validate_lkt
 from .unlock import apply_unlock
-from .verify import ALL_CHECKS, SPOT_COMPOSITIONS, SweepRange, run_checks
+from .verify import ALL_CHECKS, DEFAULT_RANGE, SPOT_COMPOSITIONS, SweepRange, run_checks
 
 #: The most cells, and the most parts, a composition may have.  It bounds
 #: input before ``key_diagram`` or ``lock_diagram`` builds a diagram cell by
@@ -249,8 +249,8 @@ COMMANDS = {
     ), exclusive=("--all", "--input")),
     "verify": Command("run verification sweeps", _cmd_verify, (
         Option("--check", choices=tuple(ALL_CHECKS) + ("all",), default="all"),
-        Option("--max-len", type=int, default=4),
-        Option("--max-part", type=int, default=3),
+        Option("--max-len", type=int, default=DEFAULT_RANGE.max_length),
+        Option("--max-part", type=int, default=DEFAULT_RANGE.max_part),
     )),
 }
 

@@ -2,7 +2,7 @@
 
 Rectification operators push one box from column i+1 to column i on bare
 diagrams.  ``rectify_move`` finds that box on row masks; it is the one
-rectification kernel, and ``apply_unlock``'s shadow runs on it too.  Unlock
+rectification kernel, and ``unlock_map``'s shadow runs on it too.  Unlock
 operators do the same on labeled diagrams, first swapping the moving box
 past any strings it crosses so that the labels land in a valid key Kohnert
 tableau.  Driven by the schedule built from the flattened content, unlock
@@ -240,30 +240,11 @@ def unlock_op(t: LabeledDiagram, i: int) -> tuple[LabeledDiagram, UnlockStep] | 
 
 
 def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, UnlockTrace]:
-    """Run the full unlock schedule on a lock Kohnert tableau of content ``a``.
-
-    A rectification shadow runs alongside on the underlying diagram's row
-    masks, and every unlock push must be the push ``rectify_move`` finds
-    there: that is the agreement theorem, and any disagreement is a
-    TheoremViolation.
-
-    Nothing else is checked here, because each other statement is checked
-    once where it is already implied or proved:
-
-    - the input is not validated: ``t`` must be a lock tableau of content
-      ``a``.  The enumerated lock tableaux and ``lock_source_tableau`` are
-      validated by ``verify``'s positivity check, and ``map --input``, the
-      one tableau read from outside, is validated where the CLI reads it;
-    - the output is not validated: ``unlock_map`` requires every image to be
-      an enumerated key tableau, and the positivity check validates each
-      of those;
-    - the weight is not compared: a push keeps its box in its row, and a
-      swap exchanges the labels of two cells without changing the cells, so
-      no step changes a row's cell count.  ``unlock_map`` compares each
-      source's and image's weight once.
-    """
+    """Run the full unlock schedule on ``t``, which must be a lock Kohnert
+    tableau of content ``a``.  ``unlock_map`` checks each statement about
+    the run once: agreement with rectification, membership, weight and
+    injectivity."""
     sched = build_schedule(flatten(a))
-    shadow = list(t.diagram.rows)  # the rectification shadow, as row masks
     state = _UnlockState(t)
     steps: list[UnlockStep] = []
     for pos, idx in enumerate(sched):
@@ -272,20 +253,6 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
             raise TheoremViolation(
                 f"unlock step {pos} (index {idx}) found nothing to move on "
                 f"{state.tableau().entries}"
-            )
-        move = rectify_move(shadow, idx)
-        if move is None:
-            raise TheoremViolation(
-                f"rectification step {pos} (index {idx}) vanished on {_cells(shadow)}"
-            )
-        shadow[move[0][0] - 1] ^= 3 << (idx - 1)
-        # both diagrams agreed before this step, and each push flips the
-        # same two columns of one row, so they agree after it exactly when
-        # both pushes are in the same row
-        if step.push != move:
-            raise TheoremViolation(
-                f"unlock and rectification disagree after step {pos} (index {idx}): "
-                f"{state.tableau().diagram.cells} vs {_cells(shadow)}"
             )
         steps.append(step)
     out = state.tableau()
@@ -297,16 +264,40 @@ def unlock_map(a: Composition) -> tuple[int, ...]:
     """The unlock map on LKT(a) as positions: entry k is the index, in
     ``enumerate_tableaux(a, "key")``, of the image of the k-th tableau of
     ``enumerate_tableaux(a, "lock")``.  A padded content gets its stripped
-    content's map.  This is the one check that unlock lands injectively in
-    the key tableaux, and that it keeps the weight: an image equal to no key
-    tableau (found by its row masks, one per closure diagram, then compared
-    by its entries), an image whose weight differs from its source's, or two
-    lock tableaux with one image, is a TheoremViolation."""
+    content's map.
+
+    This is the one place each unlock theorem is checked, and any failure
+    is a TheoremViolation.  Each run must agree with rectification step by
+    step: a shadow of the source's row masks follows ``rectify_move``, and
+    each unlock push must be the push it finds there.  Each image must equal
+    a key tableau (found by its row masks, one per closure diagram, then
+    compared by its entries) and have its source's weight, and no two lock
+    tableaux may share one image."""
     keys = enumerate_tableaux(a, "key")
     index = {k.diagram.rows: i for i, k in enumerate(keys)}
     image = []
     for t in enumerate_tableaux(a, "lock"):
-        out = apply_unlock(t, a)[0]
+        out, trace = apply_unlock(t, a)
+        shadow = list(t.diagram.rows)  # the rectification shadow, as row masks
+        for pos, step in enumerate(trace.steps):
+            idx = step.op
+            move = rectify_move(shadow, idx)
+            if move is None:
+                raise TheoremViolation(
+                    f"rectification step {pos} (index {idx}) vanished on {_cells(shadow)}"
+                )
+            # both diagrams agreed before this step, and each push flips the
+            # same two columns of one row, so they agree after it exactly when
+            # both pushes are in the same row
+            if step.push != move:
+                unlocked = shadow.copy()
+                unlocked[step.push[0][0] - 1] ^= 3 << (idx - 1)
+                shadow[move[0][0] - 1] ^= 3 << (idx - 1)
+                raise TheoremViolation(
+                    f"unlock and rectification disagree after step {pos} (index {idx}): "
+                    f"{_cells(unlocked)} vs {_cells(shadow)}"
+                )
+            shadow[move[0][0] - 1] ^= 3 << (idx - 1)
         k = index.get(out.diagram.rows)
         if k is None or keys[k].entries != out.entries:
             raise TheoremViolation(

@@ -238,11 +238,10 @@ def check_characterizations(a: Composition) -> str | None:
 
 
 def check_agreement_and_truncation(a: Composition) -> str | None:
-    """Unlock agrees with rectification stepwise (asserted inside
-    apply_unlock, the one check it makes), and truncating away large labels
-    never changes which cell a prefix rectification step moves."""
-    # apply_unlock compares every push with its rectification shadow on all
-    # of LKT(a); unlock_map checks the images' membership and weights too
+    """Unlock agrees with rectification stepwise, and truncating away large
+    labels never changes which cell a prefix rectification step moves."""
+    # unlock_map checks the agreement, with the images' membership and
+    # weights, on all of LKT(a); a failure raises, so its result is not read
     unlock_map(a)
     labels = [i + 1 for i, p in enumerate(a) if p > 0]
     groups = schedule_groups(tuple(p for p in a if p > 0))

@@ -2,7 +2,11 @@
 
 Every value here was transcribed and hand-checked cell by cell; tests treat
 them as ground truth for enumeration, crystals, rectification, and unlock.
+The one computed value, ``LONG_INTERLEAVED``, is a list of contents that
+several test modules sweep.
 """
+
+import itertools
 
 from kohnert import Diagram, LabeledDiagram
 
@@ -118,3 +122,21 @@ VPAIR_DIAGRAM = diagram(
 )
 VPAIR_PAIRS = (((2, 3), (3, 7)), ((2, 4), (3, 4)), ((2, 5), (3, 5)))
 VPAIR_UNPAIRED_UPPER = ((3, 2), (3, 8))
+
+
+def _interleaved(a):
+    """At least two nonzero parts with a zero somewhere between them."""
+    nonzero = [i for i, p in enumerate(a) if p]
+    return len(nonzero) >= 2 and 0 in a[nonzero[0] : nonzero[-1]]
+
+
+#: Every third composition of length 6 or 7 with parts <= 4, size <= 5 and a
+#: zero between two nonzero parts: longer than the length <= 5 sweeps, as
+#: long as the longest query inputs, kept to a third so that reference
+#: searches over it stay short.
+LONG_INTERLEAVED = [
+    a
+    for length in (6, 7)
+    for a in itertools.product(range(5), repeat=length)
+    if sum(a) <= 5 and _interleaved(a)
+][::3]

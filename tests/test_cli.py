@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import kohnert.cli as cli
 from kohnert.cli import MAX_CELLS, MAX_INPUT_CHARS, main, parse_composition
 from kohnert.core import MAX_CLOSURE
-from kohnert.verify import MAX_SWEEP
+from kohnert.verify import DEFAULT_RANGE, MAX_SWEEP
 
 from golden import LOCK_1021
 
@@ -258,6 +258,13 @@ def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-len", "2", "--max-part", "2")
     assert code == 0
     assert out.count("pass") == 5
+
+
+def test_verify_defaults_are_the_default_range():
+    # both parsers read the sweep bounds from the one DEFAULT_RANGE
+    for parse in (cli._parse, cli._parse_full):
+        args = parse(["verify"])
+        assert (args.max_len, args.max_part) == (DEFAULT_RANGE.max_length, DEFAULT_RANGE.max_part)
 
 
 def test_verify_failure_report_lists_each_witness(monkeypatch, capsys):

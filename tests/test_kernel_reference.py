@@ -32,6 +32,7 @@ from kohnert import (
 from kohnert.crystal import _push_unpaired
 
 import reference
+from golden import LONG_INTERLEAVED
 
 #: Every weak composition of length <= 5 with parts <= 3 and size <= 6.
 COMPOSITIONS = [
@@ -40,23 +41,6 @@ COMPOSITIONS = [
     for a in itertools.product(range(4), repeat=length)
     if sum(a) <= 6
 ]
-
-
-def _interleaved(a):
-    """At least two nonzero parts with a zero somewhere between them."""
-    nonzero = [i for i, p in enumerate(a) if p]
-    return len(nonzero) >= 2 and 0 in a[nonzero[0] : nonzero[-1]]
-
-
-#: Every third composition of length 6 or 7 with parts <= 4, size <= 5 and a
-#: zero between two nonzero parts: longer than COMPOSITIONS, as long as the
-#: longest query inputs, kept to a third so the reference search stays short.
-LONG_INTERLEAVED = [
-    a
-    for length in (6, 7)
-    for a in itertools.product(range(5), repeat=length)
-    if sum(a) <= 5 and _interleaved(a)
-][::3]
 
 
 @pytest.fixture(scope="module")

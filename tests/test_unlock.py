@@ -39,6 +39,7 @@ import reference
 from golden import (
     KEY_1021,
     LOCK_1021,
+    LONG_INTERLEAVED,
     RECT_103032_CHAIN,
     UNLOCK_103032_CHAIN,
     UNLOCK_103032_STEPS,
@@ -220,16 +221,6 @@ def test_apply_unlock_matches_walk_and_traces():
     assert data["output"] == UNLOCK_103032_CHAIN[-1].to_json()
 
 
-def _unlock_fault(monkeypatch, name, fake, pattern, witness):
-    """Run ``apply_unlock`` on the first (1,0,3,0,3,2) chain tableau with
-    ``kohnert.unlock.<name>`` replaced by ``fake``: it must raise a
-    TheoremViolation matching ``pattern`` whose message holds ``witness``."""
-    monkeypatch.setattr(unlock_module, name, fake)
-    with pytest.raises(TheoremViolation, match=pattern) as info:
-        apply_unlock(UNLOCK_103032_CHAIN[0], (1, 0, 3, 0, 3, 2))
-    assert str(witness) in str(info.value)
-
-
 def test_apply_unlock_fault_shadow_disagrees(monkeypatch):
     real = unlock_module.rectify_move
 
@@ -242,15 +233,30 @@ def test_apply_unlock_fault_shadow_disagrees(monkeypatch):
 
     # the first step (index 2) pushes (1, 3) to (1, 2); the witness names
     # the unlocked cells after it
-    _unlock_fault(monkeypatch, "rectify_move", move_one_row_up,
-                  re.escape("disagree after step 0 (index 2)"),
-                  UNLOCK_103032_CHAIN[1].diagram.cells)
+    monkeypatch.setattr(unlock_module, "rectify_move", move_one_row_up)
+    _unlock_map_fault(monkeypatch, re.escape("disagree after step 0 (index 2)"),
+                      UNLOCK_103032_CHAIN[1].diagram.cells)
 
 
 def test_apply_unlock_fault_rectification_vanishes(monkeypatch):
-    _unlock_fault(monkeypatch, "rectify_move", lambda rows, i: None,
-                  re.escape("rectification step 0 (index 2) vanished"),
-                  UNLOCK_103032_CHAIN[0].diagram.cells)
+    monkeypatch.setattr(unlock_module, "rectify_move", lambda rows, i: None)
+    _unlock_map_fault(monkeypatch, re.escape("rectification step 0 (index 2) vanished"),
+                      UNLOCK_103032_CHAIN[0].diagram.cells)
+
+
+def test_apply_unlock_runs_no_rectification(monkeypatch):
+    # the agreement with rectification is unlock_map's check, not a step of
+    # every unlock run: apply_unlock gives the same image and trace without it
+    a = (1, 0, 3, 0, 3, 2)
+    expected = apply_unlock(UNLOCK_103032_CHAIN[0], a)[1].to_json()
+
+    def refuse(rows, i):
+        raise AssertionError("apply_unlock called rectify_move")
+
+    monkeypatch.setattr(unlock_module, "rectify_move", refuse)
+    out, trace = apply_unlock(UNLOCK_103032_CHAIN[0], a)
+    assert out == UNLOCK_103032_CHAIN[-1]
+    assert trace.to_json() == expected
 
 
 def _unlock_map_fault(monkeypatch, pattern, witness, keys=lambda ts: ts):
@@ -351,16 +357,16 @@ def test_unlock_image_trivial():
 @pytest.fixture
 def plant_images(monkeypatch):
     """Make ``unlock_map`` see ``planted[t]`` as the unlock image of each
-    lock tableau t in ``planted``, from a cold cache that is cleared again
-    at the end: a planted map that raised is not cached, but one that
-    passed would be."""
+    lock tableau t in ``planted``, with t's own trace, so that its shadow
+    walk still agrees, from a cold cache that is cleared again at the end:
+    a planted map that raised is not cached, but one that passed would be."""
     apply = unlock_module.apply_unlock
 
     def plant(planted):
         monkeypatch.setattr(
             unlock_module,
             "apply_unlock",
-            lambda t, b: (planted[t], None) if t in planted else apply(t, b),
+            lambda t, b: (planted[t], apply(t, b)[1]) if t in planted else apply(t, b),
         )
         unlock_module.unlock_map.cache_clear()
 
@@ -409,6 +415,31 @@ def test_unlock_map_refuses_an_image_outside_the_key_tableaux(plant_images, plan
         unlock_module.unlock_map(a)
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         unlock_image(a)
+
+
+def test_unlock_map_checks_agreement_on_the_query_shapes(monkeypatch):
+    # map --all runs no shadow, so unlock_map's walk is what checks the
+    # agreement with rectification on the length 6-7 shapes it is asked
+    # about: every step of every lock tableau, from cold caches
+    unlock_module.enumerate_tableaux.cache_clear()
+    unlock_module.unlock_map.cache_clear()
+    rectify = unlock_module.rectify_move
+    calls = []
+
+    def counted(rows, i):
+        calls.append(i)
+        return rectify(rows, i)
+
+    monkeypatch.setattr(unlock_module, "rectify_move", counted)
+    runs, steps = 0, {}
+    for a in LONG_INTERLEAVED:
+        image = unlock_module.unlock_map(a)
+        runs += len(image)
+        # one walk per content with its trailing zeros stripped: the cache key
+        end = max(i for i, p in enumerate(a) if p) + 1
+        steps[a[:end]] = len(image) * len(build_schedule(flatten(a)))
+    assert (len(LONG_INTERLEAVED), runs) == (316, 10876)
+    assert len(calls) == sum(steps.values())
 
 
 def test_unlock_weight_preserving_and_injective_sweep():

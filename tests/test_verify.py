@@ -295,7 +295,8 @@ def test_intertwining_catches_an_image_outside_the_key_crystal(monkeypatch):
     stray = next(t for t in lock if t not in key)  # a lock tableau that is not a key tableau
     apply = unlock.apply_unlock
     monkeypatch.setattr(
-        unlock, "apply_unlock", lambda t, b: (stray, None) if t == stray else apply(t, b)
+        unlock, "apply_unlock",
+        lambda t, b: (stray, apply(t, b)[1]) if t == stray else apply(t, b),
     )
     unlock.unlock_map.cache_clear()
     try:
@@ -318,7 +319,8 @@ def test_unlock_checks_catch_an_image_of_another_weight(monkeypatch, check):
                  if unlock.weight(k.diagram) != before)
     apply = unlock.apply_unlock
     monkeypatch.setattr(
-        unlock, "apply_unlock", lambda t, b: (image, None) if t == source else apply(t, b)
+        unlock, "apply_unlock",
+        lambda t, b: (image, apply(t, b)[1]) if t == source else apply(t, b),
     )
     unlock.unlock_map.cache_clear()
     try:
