@@ -13,20 +13,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import TheoremViolation, family_closure
+from .core import MAX_CELLS, TheoremViolation, family_closure
 from .crystal import crystal_graph
 from .poly import polynomial, render_text
 from .tableaux import LabeledDiagram, enumerate_tableaux, lock_source_tableau, validate_lkt
 from .unlock import apply_unlock
 from .verify import ALL_CHECKS, DEFAULT_RANGE, SPOT_COMPOSITIONS, SweepRange, run_checks
-
-#: The most cells, and the most parts, a composition may have.  It bounds
-#: input before ``key_diagram`` or ``lock_diagram`` builds a diagram cell by
-#: cell; ``core.MAX_CLOSURE`` bounds the closure search that follows.  The
-#: part bound is needed as well: the work per closure diagram grows with the
-#: length, and MAX_CLOSURE alone would admit 1,0,...,0,1 with about 50,000
-#: parts.
-MAX_CELLS = 512
 
 #: The most characters ``map --input`` reads.  A JSON tableau of MAX_CELLS
 #: cells, as ``json.dumps`` writes it, is under 10 KiB, so 1 MiB is far above
@@ -166,17 +158,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(ALL_CHECKS) if args.check == "all" else [args.check]
-    rng = SweepRange(max_length=args.max_len, max_part=args.max_part)
-    if rng.max_length > MAX_CELLS:  # the size test below passes any length at --max-part 0
-        raise ValueError(
-            f"sweep length {rng.max_length} (max-len) exceeds the limit of {MAX_CELLS} parts"
-        )
-    if rng.max_length * rng.max_part > MAX_CELLS:
-        raise ValueError(
-            f"sweep size {rng.max_length * rng.max_part} (max-len * max-part) "
-            f"exceeds the limit of {MAX_CELLS} cells"
-        )
-    reports = run_checks(names, rng, SPOT_COMPOSITIONS)
+    reports = run_checks(names, SweepRange(args.max_len, args.max_part), SPOT_COMPOSITIONS)
     width = max(len(r.check) for r in reports)
     failed = False
     for r in reports:

@@ -38,6 +38,14 @@ _set = object.__setattr__
 #: computes by Demazure operators: that sum is the size of the key closure.
 MAX_CLOSURE = 50_000
 
+#: The most cells, and parts, of a composition: ``cli`` refuses a ``--comp``,
+#: and ``verify._sweep`` a range of length or length * part, past it.  It bounds
+#: input before ``key_diagram`` or ``lock_diagram`` builds a diagram cell by
+#: cell; MAX_CLOSURE bounds the closure search that follows.  The part bound is
+#: needed as well: the work per closure diagram grows with the length, and
+#: MAX_CLOSURE alone would admit 1,0,...,0,1 with about 50,000 parts.
+MAX_CELLS = 512
+
 
 class TheoremViolation(Exception):
     """A mathematical invariant the library relies on failed to hold.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, TheoremViolation, flatten, padded_weight, weight
+from .core import MAX_CELLS, Composition, TheoremViolation, flatten, padded_weight, weight
 from .crystal import crystal_graph, is_connected
 from .poly import (
     classify_symmetry,
@@ -37,10 +37,11 @@ from .tableaux import (
 from .unlock import rectify_move, schedule_groups, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
-#: past it before listing any.  A full ``verify`` costs about 5 ms and 0.1 MB
-#: per composition at 3,906 (length <= 5, parts <= 4: 20 s and 375 MB; 2 vCPUs,
-#: Python 3.11.7) and more on larger ranges, so this keeps one under half a
-#: gigabyte and a minute; the default range holds 341 and the benchmark's 392.
+#: past it, after its MAX_CELLS tests of length and size, before listing any.
+#: A full ``verify`` costs about 5 ms and 0.1 MB per composition at 3,906
+#: (length <= 5, parts <= 4: 20 s and 375 MB; 2 vCPUs, Python 3.11.7) and more
+#: on larger ranges, so this keeps one under half a gigabyte and a minute; the
+#: default range holds 341 and the benchmark's 392.
 MAX_SWEEP = 4_000
 
 #: Larger shapes swept in addition to the range; they exercise multi-swap
@@ -123,9 +124,18 @@ class VerificationReport:
 def _sweep(
     rng: SweepRange, extra: Sequence[Composition]
 ) -> list[Composition]:
+    """``rng``'s compositions, then ``extra``'s not among them.  The one admission
+    of a sweep: ValueError past the length, size or count limit, or on none."""
+    n, p = rng.max_length, rng.max_part
+    if n > MAX_CELLS:  # the size test below passes any length at max part 0
+        raise ValueError(f"sweep length {n} (max-len) exceeds the limit of {MAX_CELLS} parts")
+    if n * p > MAX_CELLS:
+        raise ValueError(
+            f"sweep size {n * p} (max-len * max-part) exceeds the limit of {MAX_CELLS} cells"
+        )
     count = rng.count()
     size = "" if rng.max_size is None else f", size <= {rng.max_size}"
-    described = f"the sweep range (length <= {rng.max_length}, parts <= {rng.max_part}{size})"
+    described = f"the sweep range (length <= {n}, parts <= {p}{size})"
     if count > MAX_SWEEP:
         raise ValueError(
             f"{described} holds {count} compositions, which exceeds the limit of "
@@ -228,10 +238,10 @@ def check_characterizations(a: Composition) -> str | None:
     if profile.key_sym and kp != schur_polynomial(tuple(reversed(a)), len(a)):
         return "key polynomial of increasing content is not the reversed-shape Schur"
     if profile.lock_sym:
-        shape = tuple(sorted((p for p in a if p > 0), reverse=True))
+        shape = tuple(sorted(flatten(a), reverse=True))
         if lp != schur_polynomial(shape, len(a)):
             return "symmetric lock polynomial is not the rectangular Schur"
-    nonzero = [p for p in a if p > 0]
+    nonzero = flatten(a)
     if all(nonzero[i] >= nonzero[i + 1] for i in range(len(nonzero) - 1)) and lp != kp:
         return "decreasing nonzero parts but lock != key"
     return None
@@ -244,7 +254,7 @@ def check_agreement_and_truncation(a: Composition) -> str | None:
     # weights, on all of LKT(a); a failure raises, so its result is not read
     unlock_map(a)
     labels = [i + 1 for i, p in enumerate(a) if p > 0]
-    groups = schedule_groups(tuple(p for p in a if p > 0))
+    groups = schedule_groups(flatten(a))
     ends = list(itertools.accumulate(len(block) for block in groups[:-1]))
     longest = [idx for block in groups[:-1] for idx in block]
     for t in enumerate_tableaux(a, "lock"):

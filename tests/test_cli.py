@@ -309,6 +309,7 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
         (["poly", "--kind", "key", "--comp", "1100"], 1100),
         (["crystal", "--kind", "lock", "--comp", "1100,0"], 1100),
         (["enum", "--kind", "kd", "--comp", "1000000000000"], 10**12),
+        (["poly", "--kind", "key", "--comp", "300,300"], 600),  # each part under the limit
         (["verify", "--check", "positivity", "--max-len", "1", "--max-part", "1100"], 1100),
     ],
 )

@@ -290,6 +290,16 @@ def test_lock_crystal_raising_out_of_the_vertices_is_a_theorem_violation(monkeyp
     _check_raising_into_a_dropped_vertex(monkeypatch, "lock")
 
 
+def test_key_raising_to_a_diagram_with_no_labeling_is_a_theorem_violation(monkeypatch):
+    a = (1, 0, 2, 1)
+    g = crystal_graph(a, "key")
+    u, v, color = g.edges[0]  # edges run along lowering: raising v by color gives u
+    monkeypatch.setattr(crystal, "label_key", lambda d, a: None)
+    message = f"raised key diagram {g.vertices[u].diagram.cells} lost its labeling for {a}"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        raise_tableau(g.vertices[v], a, color, "key")
+
+
 @pytest.mark.parametrize("a", [(1, 0, 2, 1), (1, 0, 2, 1, 0, 0)])
 @pytest.mark.parametrize("kind", ["key", "lock"])
 def test_crystal_vertices_are_the_enumeration(a, kind):

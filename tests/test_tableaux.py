@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -206,6 +207,19 @@ def test_lock_source_tableau_labels_only_its_diagram(monkeypatch):
     monkeypatch.setattr(tableaux, "label_lock", lambda d, a: None)
     with pytest.raises(TheoremViolation, match="has no lock labeling"):
         lock_source_tableau((0, 2, 3))
+
+
+def test_enumeration_refuses_a_closure_diagram_with_no_labeling(monkeypatch):
+    import kohnert.tableaux as tableaux
+
+    a = (0, 2, 3)
+    first = tableaux.family_closure(a, "lock")[0]
+    monkeypatch.setattr(tableaux, "label_lock", lambda d, a: None)
+    tableaux.enumerate_tableaux.cache_clear()  # a cached enumeration would skip the fault
+    message = f"closure diagram {first.cells} of {a} has no lock labeling"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        tableaux.enumerate_tableaux(a, "lock")
+    tableaux.enumerate_tableaux.cache_clear()
 
 
 @pytest.mark.parametrize(

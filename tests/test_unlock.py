@@ -298,7 +298,9 @@ def test_unlock_map_fault_weight_changed(monkeypatch):
     lambda d: rectify_by_pairing(d, 0),
     lambda d: raise_diagram(d, 0),
     lambda d: lower_diagram(d, 0),
-], ids=["rectify_move", "rectify", "rectify_by_pairing", "raise_diagram", "lower_diagram"])
+    lambda d: unlock_op(UNLOCK_103032_CHAIN[0], 0),
+], ids=["rectify_move", "rectify", "rectify_by_pairing", "raise_diagram", "lower_diagram",
+        "unlock_op"])
 def test_index_zero_is_a_value_error(call, d):
     # "positive" names the guard: a bare index 0 would otherwise fail, if at
     # all, with a negative shift count
@@ -489,6 +491,16 @@ def test_unlock_stuck_fault_is_loud():
     t = tableau((1, 1, 1), (1, 2, 2), (2, 2, 3))
     with pytest.raises(TheoremViolation, match="unlock stuck"):
         unlock_op(t, 1)
+
+
+def test_unlock_step_with_nothing_to_move_is_a_theorem_violation(monkeypatch):
+    # one index past the real schedule: every box is left justified by then
+    real = unlock_module.build_schedule
+    monkeypatch.setattr(unlock_module, "build_schedule", lambda alpha: real(alpha) + (1,))
+    message = (f"unlock step 4 (index 1) found nothing to move on "
+               f"{UNLOCK_103032_CHAIN[-1].entries}")
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        apply_unlock(UNLOCK_103032_CHAIN[0], (1, 0, 3, 0, 3, 2))
 
 
 def test_unlock_op_keeps_one_box_per_label_and_column():

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+import kohnert.verify
 from kohnert import (
     SPOT_COMPOSITIONS,
     SparsePolynomial,
@@ -19,7 +21,7 @@ from kohnert import (
     run_checks,
 )
 from kohnert.core import TheoremViolation
-from kohnert.verify import ALL_CHECKS, DEFAULT_RANGE, MAX_SWEEP, REPORT_NAMES, _sweep
+from kohnert.verify import ALL_CHECKS, DEFAULT_RANGE, REPORT_NAMES, _sweep
 
 SMALL = SweepRange(max_length=3, max_part=2)
 
@@ -53,15 +55,28 @@ def test_sweep_range_count_is_the_number_enumerated():
     assert SweepRange(10**9, 0).count() == 10**9 + 1
 
 
-def test_sweep_size_limit():
+def test_sweep_size_limit(monkeypatch):
     # the default range and the benchmark's are listed; one past the limit is refused first
     assert len(_sweep(DEFAULT_RANGE, SPOT_COMPOSITIONS)) == 343
     assert len(_sweep(SweepRange(5, 3, 5), SPOT_COMPOSITIONS)) == 394
-    over = SweepRange(max_length=1, max_part=MAX_SWEEP - 1)
-    assert over.count() == MAX_SWEEP + 1
-    with pytest.raises(ValueError, match=f"holds {MAX_SWEEP + 1} compositions, which exceeds the "
-                       f"limit of {MAX_SWEEP} compositions"):
+    # no range within the cell limits holds MAX_SWEEP + 1, so the limit is lowered to 6
+    monkeypatch.setattr(kohnert.verify, "MAX_SWEEP", 6)
+    over = SweepRange(max_length=1, max_part=5)
+    assert over.count() == 7
+    with pytest.raises(ValueError, match="holds 7 compositions, which exceeds the "
+                       "limit of 6 compositions"):
         _sweep(over, ())
+
+
+def test_sweep_refuses_a_range_past_the_cell_limits():
+    # refused before the Schur oracle, which recurses once per cell, sees 1,100 cells
+    with pytest.raises(ValueError, match=re.escape(
+            "sweep size 1100 (max-len * max-part) exceeds the limit of 512 cells")):
+        run_checks(["characterize"], SweepRange(1, 1100), ())
+    # at max part 0 every length passes the size test, so the length has its own
+    with pytest.raises(ValueError, match=re.escape(
+            "sweep length 513 (max-len) exceeds the limit of 512 parts")):
+        _sweep(SweepRange(513, 0), ())
 
 
 def test_a_size_capped_sweep_lists_in_the_time_of_its_size():
