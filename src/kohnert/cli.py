@@ -60,13 +60,49 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
+class _JsonText(dict):
+    """One command's table from a labeled-diagram entry ``((row, col), label)``
+    to its JSON text ``"[row, col, label]"``, or from a bare cell ``(row, col)``
+    to ``"[row, col]"``.  A key is formatted the first time it is seen.
+
+    The tableaux of one content share most of their entries, so each distinct
+    entry is formatted once per command.  The text equals ``json.dumps`` with
+    its default separators because coordinates and labels are ints: the
+    public constructors demand ``type(x) is int``, and the trusted builders
+    make nothing else."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> str:
+        first, second = key
+        if type(first) is tuple:
+            text = f"[{first[0]}, {first[1]}, {second}]"
+        else:
+            text = f"[{first}, {second}]"
+        self[key] = text
+        return text
+
+    def list_of(self, keys) -> str:
+        """The JSON list of ``keys``' texts: a tableau's ``entries`` or a
+        diagram's ``cells``."""
+        return _json_list(map(self.__getitem__, keys))
+
+
+def _json_list(texts) -> str:
+    """The JSON list of the JSON texts ``texts``."""
+    return "[" + ", ".join(texts) + "]"
+
+
 def _cmd_enum(args) -> int:
     if args.kind == "kd":
         items = family_closure(args.comp, "key")
     else:
         items = enumerate_tableaux(args.comp, {"kkt": "key", "lkt": "lock"}[args.kind])
     if args.format == "json":
-        print(json.dumps([item.to_json() for item in items]))
+        text = _JsonText()
+        print(_json_list(
+            text.list_of(item.cells if args.kind == "kd" else item.entries) for item in items
+        ))
     else:
         for item in items:
             print(item.ascii())
@@ -137,13 +173,14 @@ def _cmd_map(args) -> int:
         sources = (lock_source_tableau(args.comp),)
     results = [(t, *apply_unlock(t, args.comp)) for t in sources]
     if args.format == "json":
-        payload = []
+        text = _JsonText()
+        items = []
         for t, image, trace in results:
-            item: dict = {"input": t.to_json(), "output": image.to_json()}
+            item = f'{{"input": {text.list_of(t.entries)}, "output": {text.list_of(image.entries)}'
             if args.trace:
-                item["trace"] = trace.to_json()
-            payload.append(item)
-        print(json.dumps(payload))
+                item += f', "trace": {json.dumps(trace.to_json())}'
+            items.append(item + "}")
+        print(_json_list(items))
     else:
         for t, image, trace in results:
             print(t.ascii())

@@ -246,29 +246,46 @@ def schur_polynomial(shape: Composition, n: int) -> SparsePolynomial:
     if n < 0:
         raise ValueError("variable count must be nonnegative")
 
+    # the cells in row-major order, each with the index of its left and upper
+    # neighbours, or -1: value[-1] is a sentinel 0, so cell k's smallest
+    # entry is max(value[left[k]], value[up[k]] + 1)
+    left: list[int] = []
+    up: list[int] = []
+    start = 0
+    for i, part in enumerate(shape):
+        for j in range(part):
+            left.append(start + j - 1 if j else -1)
+            up.append(start - shape[i - 1] + j if i else -1)
+        start += part
+    last = start - 1
+    value = [0] * (start + 1)
+    content = [0] * n
     counts: Counter[ExponentVector] = Counter()
-    cells = [(i, j) for i, part in enumerate(shape) for j in range(part)]
-    filling: dict[tuple[int, int], int] = {}
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            content = [0] * n
-            for v in filling.values():
+    if last < 0:
+        counts[tuple(content)] += 1
+    else:
+        # depth-first over the fillings with an explicit cursor k: value[k]
+        # is the entry of cell k now tried, and content counts the entries
+        # of cells 0..k-1
+        k = 0
+        value[0] = 1
+        while k >= 0:
+            v = value[k]
+            if v > n:  # cell k is exhausted: try the previous cell's next entry
+                k -= 1
+                if k >= 0:
+                    content[value[k] - 1] -= 1
+                    value[k] += 1
+                continue
+            if k == last:
                 content[v - 1] += 1
-            counts[tuple(content)] += 1
-            return
-        i, j = cells[k]
-        lo = 1
-        if j > 0:
-            lo = max(lo, filling[(i, j - 1)])
-        if i > 0:
-            lo = max(lo, filling[(i - 1, j)] + 1)
-        for v in range(lo, n + 1):
-            filling[(i, j)] = v
-            fill(k + 1)
-        filling.pop((i, j), None)
-
-    fill(0)
+                counts[tuple(content)] += 1
+                content[v - 1] -= 1
+                value[k] = v + 1
+            else:
+                content[v - 1] += 1
+                k += 1
+                value[k] = max(value[left[k]], value[up[k]] + 1)
     return SparsePolynomial.from_dict(n, dict(counts))
 
 

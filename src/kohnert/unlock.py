@@ -95,11 +95,17 @@ def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-@lru_cache(maxsize=1024)
 def build_schedule(alpha: Composition) -> tuple[int, ...]:
     """Flat schedule for a flattened composition: the operator subscripts in
     application order (first applied first)."""
     return tuple(idx for block in schedule_groups(alpha) for idx in block)
+
+
+@lru_cache(maxsize=1024)
+def _schedule(a: Composition) -> tuple[int, ...]:
+    """The unlock schedule of content ``a``, looked up once per content
+    rather than flattened again for each of its tableaux."""
+    return build_schedule(flatten(a))
 
 
 class UnlockStep(NamedTuple):
@@ -244,7 +250,7 @@ def apply_unlock(t: LabeledDiagram, a: Composition) -> tuple[LabeledDiagram, Unl
     tableau of content ``a``.  ``unlock_map`` checks each statement about
     the run once: agreement with rectification, membership, weight and
     injectivity."""
-    sched = build_schedule(flatten(a))
+    sched = _schedule(a)
     state = _UnlockState(t)
     steps: list[UnlockStep] = []
     for pos, idx in enumerate(sched):

@@ -129,10 +129,12 @@ def _sweep(
     n, p = rng.max_length, rng.max_part
     if n > MAX_CELLS:  # the size test below passes any length at max part 0
         raise ValueError(f"sweep length {n} (max-len) exceeds the limit of {MAX_CELLS} parts")
-    if n * p > MAX_CELLS:
-        raise ValueError(
-            f"sweep size {n * p} (max-len * max-part) exceeds the limit of {MAX_CELLS} cells"
-        )
+    # the largest composition's size: length * part, unless max_size caps it lower
+    cells, bound = n * p, "max-len * max-part"
+    if rng.max_size is not None and rng.max_size < cells:
+        cells, bound = rng.max_size, "max size"
+    if cells > MAX_CELLS:
+        raise ValueError(f"sweep size {cells} ({bound}) exceeds the limit of {MAX_CELLS} cells")
     count = rng.count()
     size = "" if rng.max_size is None else f", size <= {rng.max_size}"
     described = f"the sweep range (length <= {n}, parts <= {p}{size})"

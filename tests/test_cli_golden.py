@@ -35,6 +35,8 @@ def _cases():
         for kind in ("key", "lock"):
             yield ("crystal", "--kind", kind, "--dot", "{dot}", "--json", "{json}", "--comp", comp)
         yield ("map", "--comp", comp)
+        yield ("map", "--format", "json", "--comp", comp)
+        yield ("map", "--all", "--format", "json", "--comp", comp)
         for fmt in ("ascii", "json"):
             yield ("map", "--all", "--trace", "--format", fmt, "--comp", comp)
     yield ("map", "--input", "{input}", "--comp", "1,0,2,1")
@@ -76,6 +78,8 @@ GOLDEN = {
     "crystal --kind key --dot {dot} --json {json} --comp ''": 'a78850fcf3bae90a492803b800a133c19ac10f40753ccbf077675b72769e3374',
     "crystal --kind lock --dot {dot} --json {json} --comp ''": 'f61bee04f0f81aff9d34141117c8e008e0d9c2cba6f87a2a3828d9b106376a09',
     "map --comp ''": 'c3d74d47c52c01d1b20a2d5c4086a8513230741195550c829b7b8b871c2625f8',
+    "map --format json --comp ''": '7305fb8d522219f31abf68fa09095dd19f53002dff0dfd46d80f0ed7f76c7ac3',
+    "map --all --format json --comp ''": '7305fb8d522219f31abf68fa09095dd19f53002dff0dfd46d80f0ed7f76c7ac3',
     "map --all --trace --format ascii --comp ''": '66c7cf12dbcf4928bec636e4bf49410a0cd50fae023e13d7cb4ca37331c089c5',
     "map --all --trace --format json --comp ''": '4022245dd1533b28227d8dc825800c0ae79c27fa100176676886bcd37dfed1d9',
     'enum --kind kkt --format ascii --comp 1,0,2,1': 'a9bf69b4cefcad8b70218dc004c979bfa04bbc63468ecf3e149fcda3a22f8007',
@@ -91,6 +95,8 @@ GOLDEN = {
     'crystal --kind key --dot {dot} --json {json} --comp 1,0,2,1': '5252128c648a19414db816b6f911210926eef591a67837a25225598d39aa22e3',
     'crystal --kind lock --dot {dot} --json {json} --comp 1,0,2,1': '91ee831daec75fa33174cf9ce5e964de8f51afc940382fcc624f3c36151c7090',
     'map --comp 1,0,2,1': '8d6256354c67d9d0247b0d3b333ffe49ef6ac0ceb4ff20079599d66bc18b3776',
+    'map --format json --comp 1,0,2,1': 'f92296216ccc3b4032efdfd1f4cf0e54b7e8cdc1681894da628ba005498171f7',
+    'map --all --format json --comp 1,0,2,1': 'e85c8932f8c237f15697880154e0452bf95ef8aa4e205c824f101e32474e8a5c',
     'map --all --trace --format ascii --comp 1,0,2,1': '9934c4ae3e43a1a96156a9237867bd46ee782364e708346b58ad59f1d0c8b270',
     'map --all --trace --format json --comp 1,0,2,1': '4a32adb0f4dc295eaa4c6a50045f121a29ce1a27ffcaccbe31615db3c0c179f9',
     'enum --kind kkt --format ascii --comp 0,2,3': '0b2db1f1511472c24b6965d57fb1d118f48d8979766f39821c058d4f74c1658f',
@@ -106,6 +112,8 @@ GOLDEN = {
     'crystal --kind key --dot {dot} --json {json} --comp 0,2,3': 'c170128e85b734210c759d3e6410e90b393972099543aac5043c8515aa6d3f63',
     'crystal --kind lock --dot {dot} --json {json} --comp 0,2,3': '510e01a92e16ba8fa3693a5bc46b1a95a96ce4ef3ed98d6439fead6916036d7f',
     'map --comp 0,2,3': '5e38b6a130437a3c9733cbe4468f024ef4f1d600d8a876de3caaf342b0999490',
+    'map --format json --comp 0,2,3': '85363ccf43c17d633ee89913362f5e948f3197b73d2f35d5873aecff61a5f0b5',
+    'map --all --format json --comp 0,2,3': '92a63115d1dfccba29a6522c180283d95de19bdc2f5c67ca44b5a78b11315f14',
     'map --all --trace --format ascii --comp 0,2,3': '1e957604763fca3e6aa0242eda4039ca55ffe70fa8e84c6a04b53622e37a2ac4',
     'map --all --trace --format json --comp 0,2,3': '0a2bac1c2966b8a9ac09a0df477e7ec529e491a429517bc98e81ced33f246b74',
     'enum --kind kkt --format ascii --comp 0,3,2': '0b5a790cc4e9f0ed2c5895322a6af9591e537490b26529cc50cb799324265eb4',
@@ -121,6 +129,8 @@ GOLDEN = {
     'crystal --kind key --dot {dot} --json {json} --comp 0,3,2': 'ebb790bc00aae4328e72a2812ad923d1f64298d9198bba93be3ec0e33a7b3c85',
     'crystal --kind lock --dot {dot} --json {json} --comp 0,3,2': '2905b7fce0cd259d0e2537dcd8079c933f1a9e23416639fbc84a228ead1d9b15',
     'map --comp 0,3,2': '006b56e7e6da369ebd566f11daa63e9b881de2795df6e883c834c0bc1ce5122f',
+    'map --format json --comp 0,3,2': '708c7325ab7a8e34b73ed63baf5248f533515d16d43cc4b316c86b1ae95d5721',
+    'map --all --format json --comp 0,3,2': '48089a47f2ecfc713853c671705b6d66d300f8fb5653fa58b726cf7eba2df72d',
     'map --all --trace --format ascii --comp 0,3,2': '6e3169eeea7dca94fa882bbbae72b98e5647535a03ed12a85317a4df64ca5124',
     'map --all --trace --format json --comp 0,3,2': '02a02849bcd44b8432f88483443a77ef50840ba55c15899a5fe39babc28c85d2',
     'enum --kind kkt --format ascii --comp 1,0,3,0,3,2': '35326273a6e3ca9b4508efd69623f3e063097c17d8ae163ee5a22ad6ad833361',
@@ -136,6 +146,8 @@ GOLDEN = {
     'crystal --kind key --dot {dot} --json {json} --comp 1,0,3,0,3,2': '5c46439ed7a344fcad1561c6a40aa475315eced5d57ee281a9011bb13fafcc29',
     'crystal --kind lock --dot {dot} --json {json} --comp 1,0,3,0,3,2': 'babc6a198a296e7030c5e52e70affc72a58e674f0e24fc67d9af5cadde8bbecb',
     'map --comp 1,0,3,0,3,2': '4b7146e8d4875707bbfe556fcece33b9886119647a9ff2943035a6fb4322821c',
+    'map --format json --comp 1,0,3,0,3,2': '13a5af5066f9520c3c304ec428bdfdd23953e29c51b5d8c989682d157c3aec2e',
+    'map --all --format json --comp 1,0,3,0,3,2': 'a6b8bd727f10810eba33dc34c701f401d4758cdf75b1b94cb09a4193cfe290dc',
     'map --all --trace --format ascii --comp 1,0,3,0,3,2': '062c082a99018d80e430abd7c5a5bcb2b473ad1bf729ffdc90f2e5bcd2ad4d91',
     'map --all --trace --format json --comp 1,0,3,0,3,2': 'dfb5301defe923440e0fa1c4d60a421f254daca6fe7d8d2161009883d22daf97',
     'map --input {input} --comp 1,0,2,1': 'af099abdc71e14523604bbd380f4a6aeec52cad3b49f20d21ff21b865bbf22ed',

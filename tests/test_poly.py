@@ -1,4 +1,5 @@
 import ast
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -114,6 +115,17 @@ def test_schur_two_by_two():
     )
     assert schur_polynomial((2, 2), 3) == expected
     assert lock_polynomial((0, 2, 2)) == expected
+
+
+def test_schur_hook_has_two_tableaux_of_content_111():
+    expected = poly(3, *((exp, 1) for exp in set(itertools.permutations((2, 1, 0)))),
+                    ((1, 1, 1), 2))
+    assert schur_polynomial((2, 1), 3) == expected
+
+
+def test_schur_long_row_fills_without_recursion():
+    # one filling of 1,000 cells: deeper than the default recursion limit
+    assert schur_polynomial((1000,), 1) == poly(1, ((1000,), 1))
 
 
 def test_schur_rejects_non_partition():

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import random
 import re
@@ -497,10 +498,25 @@ def test_unlock_step_with_nothing_to_move_is_a_theorem_violation(monkeypatch):
     # one index past the real schedule: every box is left justified by then
     real = unlock_module.build_schedule
     monkeypatch.setattr(unlock_module, "build_schedule", lambda alpha: real(alpha) + (1,))
+    # an empty schedule cache, so the lookup reaches the patched build_schedule
+    monkeypatch.setattr(unlock_module, "_schedule",
+                        functools.lru_cache(unlock_module._schedule.__wrapped__))
     message = (f"unlock step 4 (index 1) found nothing to move on "
                f"{UNLOCK_103032_CHAIN[-1].entries}")
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         apply_unlock(UNLOCK_103032_CHAIN[0], (1, 0, 3, 0, 3, 2))
+
+
+def test_apply_unlock_flattens_a_content_once_for_all_its_tableaux(monkeypatch):
+    flattened = []
+    real = unlock_module.flatten
+    monkeypatch.setattr(unlock_module, "flatten", lambda a: flattened.append(a) or real(a))
+    monkeypatch.setattr(unlock_module, "_schedule",
+                        functools.lru_cache(unlock_module._schedule.__wrapped__))
+    a = (1, 0, 3, 0, 3, 2)
+    for t in enumerate_lkt(a):
+        apply_unlock(t, a)
+    assert flattened == [a]
 
 
 def test_unlock_op_keeps_one_box_per_label_and_column():

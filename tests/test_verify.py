@@ -79,6 +79,15 @@ def test_sweep_refuses_a_range_past_the_cell_limits():
         _sweep(SweepRange(513, 0), ())
 
 
+def test_a_size_cap_below_the_cell_limit_admits_a_long_range():
+    # 60 * 9 cells is past the limit, but no composition of size <= 1 is
+    assert len(_sweep(SweepRange(60, 9, 1), ())) == 1891
+    # a cap past the limit is refused by its own name
+    with pytest.raises(ValueError, match=re.escape(
+            "sweep size 600 (max size) exceeds the limit of 512 cells")):
+        _sweep(SweepRange(100, 9, 600), ())
+
+
 def test_a_size_capped_sweep_lists_in_the_time_of_its_size():
     # the range holds 1,771 compositions, but its uncapped product has 4^20 tuples
     proc = subprocess.run(
