@@ -61,6 +61,7 @@ from .unlock import (
     rectify,
     rectify_by_pairing,
     rectify_move,
+    rectify_walk,
     schedule_groups,
     unlock_image,
     unlock_map,

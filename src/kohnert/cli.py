@@ -171,25 +171,23 @@ def _cmd_map(args) -> int:
         sources = (_read_tableau(args.input, args.comp),)
     else:
         sources = (lock_source_tableau(args.comp),)
-    results = [(t, *apply_unlock(t, args.comp)) for t in sources]
-    if args.format == "json":
-        text = _JsonText()
-        items = []
-        for t, image, trace in results:
+    # each pair's text is formatted as soon as it is mapped, and only the
+    # text is kept: stdout gets it all at once, or nothing if a run raises
+    text = _JsonText()
+    items = []
+    for t in sources:
+        image, trace = apply_unlock(t, args.comp)
+        if args.format == "json":
             item = f'{{"input": {text.list_of(t.entries)}, "output": {text.list_of(image.entries)}'
             if args.trace:
                 item += f', "trace": {json.dumps(trace.to_json())}'
             items.append(item + "}")
-        print(_json_list(items))
-    else:
-        for t, image, trace in results:
-            print(t.ascii())
-            print("  |")
-            print("  v")
-            print(image.ascii())
+        else:
+            item = f"{t.ascii()}\n  |\n  v\n{image.ascii()}\n"
             if args.trace:
-                print(json.dumps(trace.to_json()))
-            print()
+                item += json.dumps(trace.to_json()) + "\n"
+            items.append(item)
+    print(_json_list(items) if args.format == "json" else "\n".join(items))
     return 0
 
 

@@ -17,7 +17,6 @@ internal only: all input from outside goes through the validating path.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, wraps
 from operator import attrgetter
@@ -114,30 +113,8 @@ class Diagram:
     def max_col(self) -> int:
         return max(self.rows, default=0).bit_length()  # the widest row is the largest mask
 
-    def __contains__(self, cell: Cell) -> bool:
-        r, c = cell
-        return 1 <= r <= len(self.rows) and c >= 1 and bool(self.rows[r - 1] >> (c - 1) & 1)
-
     def __len__(self) -> int:
         return len(self.cells)
-
-    def move(self, src: Cell, dst: Cell) -> "Diagram":
-        """Return a copy with the cell at ``src`` relocated to ``dst``."""
-        if src not in self:
-            raise ValueError(f"no cell at {src}")
-        if dst in self:
-            raise ValueError(f"cell already at {dst}")
-        if min(dst) < 1:
-            raise ValueError("cells must have row >= 1 and col >= 1")
-        cells = list(self.cells)
-        cells.remove(src)
-        insort(cells, dst)
-        rows = list(self.rows) + [0] * (dst[0] - len(self.rows))
-        rows[src[0] - 1] ^= 1 << (src[1] - 1)
-        rows[dst[0] - 1] |= 1 << (dst[1] - 1)
-        while not rows[-1]:
-            rows.pop()
-        return Diagram._trusted(tuple(cells), tuple(rows))
 
     def to_json(self) -> list[list[int]]:
         return [[r, c] for r, c in self.cells]

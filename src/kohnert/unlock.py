@@ -2,18 +2,19 @@
 
 Rectification operators push one box from column i+1 to column i on bare
 diagrams.  ``rectify_move`` finds that box on row masks; it is the one
-rectification kernel, and ``unlock_map``'s shadow runs on it too.  Unlock
-operators do the same on labeled diagrams, first swapping the moving box
-past any strings it crosses so that the labels land in a valid key Kohnert
-tableau.  Driven by the schedule built from the flattened content, unlock
-sends every lock Kohnert tableau to a key Kohnert tableau of the same
-content and weight, injectively.
+rectification kernel, and ``rectify_walk`` applies its pushes to row masks
+for ``unlock_map``'s agreement check and ``verify``'s truncation check.
+Unlock operators do the same on labeled diagrams, first swapping the moving
+box past any strings it crosses so that the labels land in a valid key
+Kohnert tableau.  Driven by the schedule built from the flattened content,
+unlock sends every lock Kohnert tableau to a key Kohnert tableau of the
+same content and weight, injectively.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     Cell,
@@ -50,10 +51,27 @@ def rectify_move(rows: list[int] | tuple[int, ...], i: int) -> tuple[Cell, Cell]
     return None if best == 0 else ((row, i + 1), (row, i))
 
 
+def rectify_walk(rows: Sequence[int], indices: Sequence[int]) -> tuple[list, list[int]]:
+    """Rectify a copy of the row masks ``rows`` at each index in turn.
+
+    Returns the moves ``rectify_move`` finds, up to and including the first
+    None, and the masks they leave.  A push flips its row's bits for
+    columns i and i+1."""
+    rows = list(rows)
+    moves = []
+    for i in indices:
+        move = rectify_move(rows, i)
+        moves.append(move)
+        if move is None:
+            break
+        rows[move[0][0] - 1] ^= 3 << (i - 1)
+    return moves, rows
+
+
 def rectify(d: Diagram, i: int) -> Diagram | None:
     """Push one box of column i+1 left to column i, or None if none may move."""
-    move = rectify_move(d.rows, i)
-    return None if move is None else d.move(*move)
+    (move,), rows = rectify_walk(d.rows, (i,))
+    return None if move is None else Diagram._trusted(_cells(rows), tuple(rows))
 
 
 def rectify_by_pairing(d: Diagram, i: int) -> Diagram | None:
@@ -71,8 +89,9 @@ def rectify_by_pairing(d: Diagram, i: int) -> Diagram | None:
     pushed = _push_unpaired((left, right), 1)
     if pushed is None:
         return None
-    r = top + 1 - pushed[0]
-    return d.move((r, i + 1), (r, i))
+    rows = list(d.rows)
+    rows[top - pushed[0]] ^= 3 << (i - 1)  # row top + 1 - pushed[0]
+    return Diagram._trusted(_cells(rows), tuple(rows))
 
 
 def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:
@@ -274,36 +293,35 @@ def unlock_map(a: Composition) -> tuple[int, ...]:
 
     This is the one place each unlock theorem is checked, and any failure
     is a TheoremViolation.  Each run must agree with rectification step by
-    step: a shadow of the source's row masks follows ``rectify_move``, and
-    each unlock push must be the push it finds there.  Each image must equal
-    a key tableau (found by its row masks, one per closure diagram, then
-    compared by its entries) and have its source's weight, and no two lock
-    tableaux may share one image."""
+    step: ``rectify_walk`` on the source's row masks along the schedule must
+    find each unlock push.  Each image must equal a key tableau (found by its
+    row masks, one per closure diagram, then compared by its entries) and
+    have its source's weight, and no two lock tableaux may share one image."""
     keys = enumerate_tableaux(a, "key")
     index = {k.diagram.rows: i for i, k in enumerate(keys)}
     image = []
     for t in enumerate_tableaux(a, "lock"):
         out, trace = apply_unlock(t, a)
-        shadow = list(t.diagram.rows)  # the rectification shadow, as row masks
-        for pos, step in enumerate(trace.steps):
-            idx = step.op
-            move = rectify_move(shadow, idx)
-            if move is None:
+        pushes = [step.push for step in trace.steps]
+        moves, _ = rectify_walk(t.diagram.rows, trace.schedule)
+        if moves != pushes:
+            # the walk stops after a vanished step, so the first difference
+            # is there or at two pushes from different rows; rebuild the
+            # diagrams both sides see at that step for the witness
+            pos = next(p for p, (push, move) in enumerate(zip(pushes, moves)) if push != move)
+            idx = trace.schedule[pos]
+            _, shadow = rectify_walk(t.diagram.rows, trace.schedule[:pos])
+            if moves[pos] is None:
                 raise TheoremViolation(
                     f"rectification step {pos} (index {idx}) vanished on {_cells(shadow)}"
                 )
-            # both diagrams agreed before this step, and each push flips the
-            # same two columns of one row, so they agree after it exactly when
-            # both pushes are in the same row
-            if step.push != move:
-                unlocked = shadow.copy()
-                unlocked[step.push[0][0] - 1] ^= 3 << (idx - 1)
-                shadow[move[0][0] - 1] ^= 3 << (idx - 1)
-                raise TheoremViolation(
-                    f"unlock and rectification disagree after step {pos} (index {idx}): "
-                    f"{_cells(unlocked)} vs {_cells(shadow)}"
-                )
-            shadow[move[0][0] - 1] ^= 3 << (idx - 1)
+            unlocked = shadow.copy()
+            unlocked[pushes[pos][0][0] - 1] ^= 3 << (idx - 1)
+            shadow[moves[pos][0][0] - 1] ^= 3 << (idx - 1)
+            raise TheoremViolation(
+                f"unlock and rectification disagree after step {pos} (index {idx}): "
+                f"{_cells(unlocked)} vs {_cells(shadow)}"
+            )
         k = index.get(out.diagram.rows)
         if k is None or keys[k].entries != out.entries:
             raise TheoremViolation(

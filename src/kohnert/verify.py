@@ -34,7 +34,7 @@ from .tableaux import (
     validate_kkt,
     validate_lkt,
 )
-from .unlock import rectify_move, schedule_groups, unlock_map
+from .unlock import rectify_walk, schedule_groups, unlock_map
 
 #: The most compositions a sweep range may hold; ``_sweep`` raises ValueError
 #: past it, after its MAX_CELLS tests of length and size, before listing any.
@@ -251,48 +251,39 @@ def check_characterizations(a: Composition) -> str | None:
 
 def check_agreement_and_truncation(a: Composition) -> str | None:
     """Unlock agrees with rectification stepwise, and truncating away large
-    labels never changes which cell a prefix rectification step moves."""
-    # unlock_map checks the agreement, with the images' membership and
-    # weights, on all of LKT(a); a failure raises, so its result is not read
+    labels never changes which cell a prefix rectification step moves.
+
+    ``unlock_map`` checks the agreement, raising on a failure.  For the
+    truncation, ``unlock.rectify_walk`` walks each lock tableau's diagram
+    along all blocks of the schedule but the last, and each truncation along
+    its own prefix of those; the two lists of moves must agree, with no None."""
     unlock_map(a)
     labels = [i + 1 for i, p in enumerate(a) if p > 0]
     groups = schedule_groups(flatten(a))
-    ends = list(itertools.accumulate(len(block) for block in groups[:-1]))
     longest = [idx for block in groups[:-1] for idx in block]
+    prefixes = [longest[:n] for n in itertools.accumulate(len(block) for block in groups[:-1])]
     for t in enumerate_tableaux(a, "lock"):
-        # the untruncated diagram's moves along the longest prefix, up to
-        # the first None; every shorter prefix reads its start.  Both walks
-        # run on row masks: a push flips columns idx and idx+1 of its row
-        moves = []
-        full = list(t.diagram.rows)
-        for idx in longest:
-            move = rectify_move(full, idx)
-            moves.append(move)
-            if move is None:
-                break
-            full[move[0][0] - 1] ^= 3 << (idx - 1)
-        for q in range(1, len(labels)):
-            # truncating below labels[q] must keep the first p blocks' moves
-            # for every p <= q; each of those prefixes starts this walk over
-            # the first q blocks, so one walk covers them all
-            bound = labels[q]
-            small = list(truncate_below(t, bound).diagram.rows)
-            for s in range(ends[q - 1]):
-                idx = longest[s]
-                move_full = moves[s]
-                move_small = rectify_move(small, idx)
+        moves, _ = rectify_walk(t.diagram.rows, longest)
+        for bound, prefix in zip(labels[1:], prefixes):
+            # truncating below the label of part q + 1 must keep the first p
+            # blocks' moves for every p <= q; each of those prefixes starts
+            # this walk over the first q blocks, so one walk covers them all
+            small, _ = rectify_walk(truncate_below(t, bound).diagram.rows, prefix)
+            # a walk ends at its first None, so a None can only be last
+            if small == moves[:len(prefix)] and (not small or small[-1] is not None):
+                continue
+            for s, (move_small, move_full) in enumerate(zip(small, moves)):
                 if move_full != move_small:
                     return (
                         f"truncation below {bound} changes step {s} "
-                        f"(index {idx}) on {t.entries}: "
+                        f"(index {longest[s]}) on {t.entries}: "
                         f"{move_small} vs {move_full}"
                     )
                 if move_full is None:
                     return (
                         f"rectification vanished at prefix step {s} "
-                        f"(index {idx}) on {t.entries}"
+                        f"(index {longest[s]}) on {t.entries}"
                     )
-                small[move_small[0][0] - 1] ^= 3 << (idx - 1)
     return None
 
 

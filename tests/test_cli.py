@@ -303,6 +303,27 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     assert "internal fault" in err
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "json"])
+def test_map_prints_nothing_when_a_later_run_fails(monkeypatch, capsys, fmt):
+    # map formats each pair as it goes, but prints only once all are mapped
+    from kohnert import TheoremViolation
+    import kohnert.cli as cli
+
+    apply_unlock = cli.apply_unlock
+    runs = []
+
+    def fail_second(t, a):
+        runs.append(t)
+        if len(runs) == 2:
+            raise TheoremViolation("induced fault")
+        return apply_unlock(t, a)
+
+    monkeypatch.setattr(cli, "apply_unlock", fail_second)
+    code, out, err = run_cli(capsys, "map", "--all", "--format", fmt, "--comp", "1,0,2,1")
+    assert (code, out, len(runs)) == (3, "", 2)
+    assert "internal fault" in err
+
+
 @pytest.mark.parametrize(
     "argv, size",
     [

@@ -209,19 +209,6 @@ def test_diagram_rejects_bad_cells(cells):
         Diagram(cells)
 
 
-@pytest.mark.parametrize(
-    "src, dst, message",
-    [((2, 2), (1, 2), "no cell at (2, 2)"),
-     ((2, 1), (1, 1), "cell already at (1, 1)"),
-     ((2, 1), (0, 1), "cells must have row >= 1 and col >= 1"),
-     ((2, 1), (2, 0), "cells must have row >= 1 and col >= 1")],
-)
-def test_diagram_move_refuses_a_missing_source_a_taken_or_nonpositive_target(src, dst, message):
-    d = diagram((1, 1), (2, 1))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        d.move(src, dst)
-
-
 def test_diagram_canonical_order_and_json():
     d = Diagram(((2, 1), (1, 2), (1, 1), (2, 1)))
     assert d.cells == ((1, 1), (1, 2), (2, 1))

@@ -78,9 +78,9 @@ def test_vertical_pairing_partitions_both_rows():
 
 def test_raise_diagram_chain_from_wide_example():
     d1 = raise_diagram(VPAIR_DIAGRAM, 2)
-    assert d1 == VPAIR_DIAGRAM.move((3, 8), (2, 8))
+    assert d1 == Diagram(set(VPAIR_DIAGRAM.cells) - {(3, 8)} | {(2, 8)})
     d2 = raise_diagram(d1, 2)
-    assert d2 == d1.move((3, 2), (2, 2))
+    assert d2 == Diagram(set(d1.cells) - {(3, 2)} | {(2, 2)})
     assert raise_diagram(d2, 2) is None
 
 

@@ -30,6 +30,7 @@ from kohnert import (
     rectify,
     rectify_by_pairing,
     rectify_move,
+    rectify_walk,
     schedule_groups,
     unlock_image,
     unlock_op,
@@ -96,7 +97,7 @@ def test_rectify_lock_023():
     d = lock_diagram((0, 2, 3))
     assert rectify_move(d.rows, 1) == ((2, 2), (2, 1))
     assert rectify_move(list(d.rows), 1) == ((2, 2), (2, 1))  # a mutable shadow
-    assert rectify(d, 1) == d.move((2, 2), (2, 1))
+    assert rectify(d, 1) == Diagram(set(d.cells) - {(2, 2)} | {(2, 1)})
 
 
 def test_rectify_empty():
@@ -107,6 +108,17 @@ def test_rectification_chain_103032():
     chain = RECT_103032_CHAIN
     for idx, before, after in zip((2, 1, 1, 2), chain, chain[1:]):
         assert rectify(before, idx) == after
+
+
+def test_rectify_walk_follows_the_chain_and_stops_after_none():
+    chain = RECT_103032_CHAIN
+    moves, rows = rectify_walk(chain[0].rows, (2, 1, 1, 2))
+    assert moves == [rectify_move(d.rows, i) for d, i in zip(chain, (2, 1, 1, 2))]
+    assert tuple(rows) == chain[-1].rows
+    # nothing to push ends the walk: the index 0 after it, a ValueError if
+    # read, is never read
+    d = diagram((1, 1), (2, 1))
+    assert rectify_walk(d.rows, (1, 0)) == ([None], list(d.rows))
 
 
 def test_rectify_agrees_with_pairing_formulation_on_closures():

@@ -382,8 +382,8 @@ def test_agreement_walks_past_the_first_block(monkeypatch):
 def test_agreement_reports_a_vanished_prefix_step(monkeypatch):
     import kohnert.verify as verify
 
-    # both walks read verify's own rectify_move, so neither finds a push
-    monkeypatch.setattr(verify, "rectify_move", lambda rows, i: None)
+    # both walks read verify's own rectify_walk, so neither finds a push
+    monkeypatch.setattr(verify, "rectify_walk", lambda rows, indices: ([None], list(rows)))
     witness = check_agreement_and_truncation((0, 2, 3))
     assert witness.startswith("rectification vanished at prefix step 0 (index 1) on ")
 
