@@ -60,6 +60,19 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
+def parse_bound(text: str) -> int:
+    """Parse a sweep bound: ASCII decimal digits after an optional "-", with
+    spaces around them allowed, the spellings a composition part may take;
+    anything else is refused in the words argparse uses for ``int``."""
+    digits = text.strip().removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # int() reads at most 4,300 digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 class _JsonText(dict):
     """One command's table from a labeled-diagram entry ``((row, col), label)``
     to its JSON text ``"[row, col, label]"``, or from a bare cell ``(row, col)``
@@ -208,81 +221,67 @@ def _cmd_verify(args) -> int:
 
 
 @dataclass(frozen=True)
-class Option:
-    """One ``--flag`` of a subcommand: a value of type ``type`` (``str`` when
-    None), checked against ``choices``, or with ``store_true`` a bare flag."""
-
-    flag: str
-    type: Callable[[str], object] | None = None
-    choices: tuple[str, ...] | None = None
-    default: object = None
-    required: bool = False
-    store_true: bool = False
-    metavar: str | None = None
-    help: str | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")
-
-
-@dataclass(frozen=True)
 class Command:
-    """A subcommand: its help text, its handler, its options in help order,
-    and the flags of which at most one may be given."""
+    """A subcommand: its help text, its handler, its options in help order
+    as ``{flag: add_argument's keyword arguments}``, and the flags of which
+    at most one may be given."""
 
     help: str
     run: Callable[[argparse.Namespace], int]
-    options: tuple[Option, ...]
+    options: dict[str, dict]
     exclusive: tuple[str, ...] = ()
 
 
-_COMP = Option("--comp", type=parse_composition, required=True)
+_COMP = {"type": parse_composition, "required": True}
 
-#: Every subcommand and its options, read by both parsers.
+#: Every subcommand and its options, read by both parsers.  ``_parse_exact``
+#: reads ``type`` (whose refusals are worded as argparse's), ``choices``,
+#: ``default``, ``required`` and ``action="store_true"``.
 COMMANDS = {
-    "enum": Command("enumerate tableaux or diagrams", _cmd_enum, (
-        Option("--kind", choices=("kkt", "lkt", "kd"), required=True),
-        _COMP,
-        Option("--format", choices=("ascii", "json"), default="ascii"),
-    )),
-    "poly": Command("print a key or lock polynomial", _cmd_poly, (
-        Option("--kind", choices=("key", "lock"), required=True),
-        _COMP,
-        Option("--format", choices=("text", "json"), default="text"),
-    )),
-    "crystal": Command("build a crystal graph", _cmd_crystal, (
-        Option("--kind", choices=("key", "lock"), required=True),
-        _COMP,
-        Option("--dot", metavar="PATH", help="write DOT to PATH"),
-        Option("--json", metavar="PATH", help="write graph JSON to PATH"),
-    )),
-    "map": Command("apply the unlock map to lock tableaux", _cmd_map, (
-        _COMP,
-        Option("--all", store_true=True, help="map every lock tableau"),
-        Option("--input", metavar="FILE", help="read one tableau as JSON"),
-        Option("--trace", store_true=True, help="also print the step trace"),
-        Option("--format", choices=("ascii", "json"), default="ascii"),
-    ), exclusive=("--all", "--input")),
-    "verify": Command("run verification sweeps", _cmd_verify, (
-        Option("--check", choices=tuple(ALL_CHECKS) + ("all",), default="all"),
-        Option("--max-len", type=int, default=DEFAULT_RANGE.max_length),
-        Option("--max-part", type=int, default=DEFAULT_RANGE.max_part),
-    )),
+    "enum": Command("enumerate tableaux or diagrams", _cmd_enum, {
+        "--kind": {"choices": ("kkt", "lkt", "kd"), "required": True},
+        "--comp": _COMP,
+        "--format": {"choices": ("ascii", "json"), "default": "ascii"},
+    }),
+    "poly": Command("print a key or lock polynomial", _cmd_poly, {
+        "--kind": {"choices": ("key", "lock"), "required": True},
+        "--comp": _COMP,
+        "--format": {"choices": ("text", "json"), "default": "text"},
+    }),
+    "crystal": Command("build a crystal graph", _cmd_crystal, {
+        "--kind": {"choices": ("key", "lock"), "required": True},
+        "--comp": _COMP,
+        "--dot": {"metavar": "PATH", "help": "write DOT to PATH"},
+        "--json": {"metavar": "PATH", "help": "write graph JSON to PATH"},
+    }),
+    "map": Command("apply the unlock map to lock tableaux", _cmd_map, {
+        "--comp": _COMP,
+        "--all": {"action": "store_true", "help": "map every lock tableau"},
+        "--input": {"metavar": "FILE", "help": "read one tableau as JSON"},
+        "--trace": {"action": "store_true", "help": "also print the step trace"},
+        "--format": {"choices": ("ascii", "json"), "default": "ascii"},
+    }, exclusive=("--all", "--input")),
+    "verify": Command("run verification sweeps", _cmd_verify, {
+        "--check": {"choices": tuple(ALL_CHECKS) + ("all",), "default": "all"},
+        "--max-len": {"type": parse_bound, "default": DEFAULT_RANGE.max_length},
+        "--max-part": {"type": parse_bound, "default": DEFAULT_RANGE.max_part},
+    }),
 }
 
 
-def _convert(opt: Option, text: str) -> object:
-    """``text`` as ``opt``'s value; ArgumentTypeError, worded as argparse
-    words it, when ``opt``'s type or choices refuse it."""
-    try:
-        value = text if opt.type is None else opt.type(text)
-    except (TypeError, ValueError) as exc:
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag``'s value in."""
+    return flag[2:].replace("-", "_")
+
+
+def _convert(option: dict, text: str) -> object:
+    """``text`` as the value of ``option``; ArgumentTypeError, worded as
+    argparse words it, when its type or choices refuse it."""
+    value = option.get("type", str)(text)
+    choices = option.get("choices")
+    if choices is not None and value not in choices:
         raise argparse.ArgumentTypeError(
-            f"invalid {opt.type.__name__} value: {text!r}") from exc
-    if opt.choices is not None and value not in opt.choices:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose from {', '.join(map(repr, opt.choices))})")
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
     return value
 
 
@@ -297,14 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         group = p.add_mutually_exclusive_group() if command.exclusive else None
-        for opt in command.options:
-            add = (group if opt.flag in command.exclusive else p).add_argument
-            if opt.store_true:
-                add(opt.flag, dest=opt.dest, action="store_true", help=opt.help)
-            else:
-                add(opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices,
-                    default=opt.default, required=opt.required, metavar=opt.metavar,
-                    help=opt.help)
+        for flag, option in command.options.items():
+            (group if flag in command.exclusive else p).add_argument(flag, **option)
     return parser
 
 
@@ -312,14 +305,14 @@ def _parse_full(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the full parser, which reports every usage error."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for opt in COMMANDS[args.command].options:
-        if getattr(args, opt.dest) == []:
+    for flag, option in COMMANDS[args.command].options.items():
+        if getattr(args, _dest(flag)) == []:
             # argparse before Python 3.13 turns "--opt=--" into [] without
             # converting or checking it; convert "--" as 3.13 does
             try:
-                setattr(args, opt.dest, _convert(opt, "--"))
+                setattr(args, _dest(flag), _convert(option, "--"))
             except argparse.ArgumentTypeError as exc:
-                parser.error(f"argument {opt.flag}: {exc}")
+                parser.error(f"argument {flag}: {exc}")
     return args
 
 
@@ -332,15 +325,16 @@ def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {opt.flag: opt for opt in command.options}
     given: dict[str, object] = {}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, text = token.partition("=")
-        opt = options.get(flag)
-        if opt is None or flag in given or (opt.store_true and eq):
+        option = command.options.get(flag)
+        if option is None or flag in given:
             return None
-        if opt.store_true:
+        if "action" in option:  # store_true, the one action in the table
+            if eq:
+                return None
             given[flag] = True
             continue
         if not eq:
@@ -348,16 +342,17 @@ def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
         if text.startswith("-"):
             return None
         try:
-            given[flag] = _convert(opt, text)
+            given[flag] = _convert(option, text)
         except argparse.ArgumentTypeError:
             return None
     if sum(flag in given for flag in command.exclusive) > 1:
         return None
-    if any(opt.required and opt.flag not in given for opt in command.options):
+    if any(option.get("required") and flag not in given
+           for flag, option in command.options.items()):
         return None
     return argparse.Namespace(command=argv[0], **{
-        opt.dest: given.get(opt.flag, False if opt.store_true else opt.default)
-        for opt in command.options
+        _dest(flag): given.get(flag, option.get("default", False if "action" in option else None))
+        for flag, option in command.options.items()
     })
 
 

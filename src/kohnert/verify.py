@@ -65,10 +65,13 @@ class SweepRange:
 
     def __post_init__(self) -> None:
         # a negative bound leaves nothing to sweep, and an empty sweep must not pass
-        if self.max_length < 0 or self.max_part < 0:
+        bounds = {"max length": self.max_length, "max part": self.max_part}
+        if self.max_size is not None:
+            bounds["max size"] = self.max_size
+        if min(bounds.values()) < 0:
+            *named, last = (f"{name} {value}" for name, value in bounds.items())
             raise ValueError(
-                f"sweep bounds must be nonnegative, got max length {self.max_length} "
-                f"and max part {self.max_part}"
+                f"sweep bounds must be nonnegative, got {', '.join(named)} and {last}"
             )
 
     def count(self) -> int:
@@ -89,7 +92,7 @@ class SweepRange:
         the last by a part of at most the size left, so listing costs what it lists."""
         p = self.max_part
         size = self.max_length * p if self.max_size is None else self.max_size
-        level = [()] if size >= 0 else []
+        level = [()]
         yield from level
         for _ in range(self.max_length):
             level = [a + (x,) for a in level for x in range(min(p, size - sum(a)) + 1)]
@@ -125,7 +128,7 @@ def _sweep(
     rng: SweepRange, extra: Sequence[Composition]
 ) -> list[Composition]:
     """``rng``'s compositions, then ``extra``'s not among them.  The one admission
-    of a sweep: ValueError past the length, size or count limit, or on none."""
+    of a sweep: ValueError past the length, size or count limit."""
     n, p = rng.max_length, rng.max_part
     if n > MAX_CELLS:  # the size test below passes any length at max part 0
         raise ValueError(f"sweep length {n} (max-len) exceeds the limit of {MAX_CELLS} parts")
@@ -136,12 +139,11 @@ def _sweep(
     if cells > MAX_CELLS:
         raise ValueError(f"sweep size {cells} ({bound}) exceeds the limit of {MAX_CELLS} cells")
     count = rng.count()
-    size = "" if rng.max_size is None else f", size <= {rng.max_size}"
-    described = f"the sweep range (length <= {n}, parts <= {p}{size})"
     if count > MAX_SWEEP:
+        size = "" if rng.max_size is None else f", size <= {rng.max_size}"
         raise ValueError(
-            f"{described} holds {count} compositions, which exceeds the limit of "
-            f"{MAX_SWEEP} compositions"
+            f"the sweep range (length <= {n}, parts <= {p}{size}) holds {count} compositions, "
+            f"which exceeds the limit of {MAX_SWEEP} compositions"
         )
     comps = list(rng.compositions())
     seen = set(comps)
@@ -149,9 +151,6 @@ def _sweep(
         if a not in seen:
             comps.append(a)
             seen.add(a)
-    if not comps:
-        # a check over no composition proves nothing, so it must not pass
-        raise ValueError(f"{described} holds no composition, and no extra one was given")
     return comps
 
 

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kohnert.cli as cli
+import kohnert.core
 from kohnert.cli import MAX_CELLS, MAX_INPUT_CHARS, main, parse_composition
-from kohnert.core import MAX_CLOSURE
+from kohnert.core import MAX_CLOSURE, kohnert_closure
+from kohnert.crystal import crystal_graph
+from kohnert.poly import polynomial
+from kohnert.tableaux import enumerate_tableaux
 from kohnert.verify import DEFAULT_RANGE, MAX_SWEEP
 
 from golden import LOCK_1021
@@ -290,6 +294,31 @@ def test_verify_rejects_negative_bounds(capsys, flag):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-len", "--max-part"])
+@pytest.mark.parametrize("bound", ["1_0", "+2", "\uff10", "\u0663", "1.0", " ", ""])
+def test_sweep_bounds_are_ascii_decimal_digits(capsys, flag, bound):
+    # int() reads the first four; "\uff10" is a fullwidth 0, "\u0663" an Arabic-Indic 3
+    argv = ["verify", "--check", "connected", f"{flag}={bound}"]
+    assert cli._parse_exact(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_full(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {bound!r}" in capsys.readouterr().err
+
+
+def test_sweep_bounds_keep_their_spaces_and_sign(capsys):
+    spaced = ["verify", "--check", "connected", "--max-len= 2 ", "--max-part", " 1"]
+    exact = cli._parse_exact(spaced)
+    assert vars(exact) == vars(cli._parse_full(spaced))
+    assert (exact.max_len, exact.max_part) == (2, 1)
+    # a leading "-" is read, and SweepRange refuses the negative bound
+    negative = ["verify", "--check", "connected", "--max-len= -1"]
+    assert cli._parse_exact(negative).max_len == cli._parse_full(negative).max_len == -1
+    code, out, err = run_cli(capsys, *negative)
+    assert (code, out) == (2, "")
+    assert "error: sweep bounds must be nonnegative, got max length -1 and max part 3" in err
+
+
 def test_internal_fault_exit_code(monkeypatch, capsys):
     from kohnert import TheoremViolation
     import kohnert.cli as cli
@@ -362,6 +391,22 @@ def test_oversized_closure_is_a_usage_error(comp, weight):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"weight {weight} exceeds the limit of {MAX_CLOSURE} diagrams" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["poly", "--kind", "lock"], ["enum", "--kind", "lkt"], ["crystal", "--kind", "lock"],
+     ["map", "--all"]],
+)
+def test_the_closure_search_refuses_past_its_limit(monkeypatch, capsys, command):
+    # the lock closure of 0,2,3 holds 7 diagrams, so under a limit of 6 the search
+    # itself refuses it; a key polynomial is refused by its coefficient sums first
+    monkeypatch.setattr(kohnert.core, "MAX_CLOSURE", 6)
+    for cached in (kohnert_closure, enumerate_tableaux, polynomial, crystal_graph):
+        cached.cache_clear()
+    code, out, err = run_cli(capsys, *command, "--comp", "0,2,3")
+    assert (code, out) == (2, "")
+    assert "weight (0, 2, 3) exceeds the limit of 6 diagrams" in err
 
 
 def test_oversized_sweep_is_a_usage_error():
@@ -654,6 +699,16 @@ def test_exact_arguments_build_no_parser(argv):
 )
 def test_only_the_full_parser_cases_build_it(argv):
     assert parsers_built(argv) == 1 + len(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_every_option_keyword_is_one_the_exact_parser_reads(name):
+    # a keyword such as nargs would make argparse read the option apart
+    # from _parse_exact, which reads a bare flag or one value
+    for flag, option in cli.COMMANDS[name].options.items():
+        assert set(option) <= {"type", "choices", "default", "required", "action",
+                               "help", "metavar"}, flag
+        assert option.get("action", "store_true") == "store_true", flag
 
 
 def test_stdout_byte_stable_across_processes():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -131,6 +132,8 @@ def test_schur_long_row_fills_without_recursion():
 def test_schur_rejects_non_partition():
     with pytest.raises(ValueError):
         schur_polynomial((1, 2), 3)
+    with pytest.raises(ValueError, match="variable count must be nonnegative"):
+        schur_polynomial((1,), -1)
 
 
 def test_schur_more_rows_than_variables_is_zero():
@@ -254,6 +257,8 @@ def test_polynomial_invariants():
         SparsePolynomial(1, (((1,), 0),))
     with pytest.raises(ValueError):
         SparsePolynomial(1, (((2,), 1), ((1,), 1)))
+    with pytest.raises(ValueError, match=re.escape("negative exponent in (1, -1)")):
+        SparsePolynomial(2, (((1, -1), 1),))
 
 
 def test_json_shape():

@@ -40,7 +40,7 @@ def test_sweep_range_max_size():
 def test_sweep_range_count_is_the_number_enumerated():
     for length in range(7):
         for part in range(5):
-            for size in (None, -1, *range(15)):
+            for size in (None, *range(15)):
                 rng = SweepRange(length, part, size)
                 listed = list(rng.compositions())
                 assert rng.count() == len(listed), rng
@@ -53,6 +53,20 @@ def test_sweep_range_count_is_the_number_enumerated():
                 ], rng
     assert SweepRange(8, 6).count() == (7**9 - 1) // 6
     assert SweepRange(10**9, 0).count() == 10**9 + 1
+
+
+@pytest.mark.parametrize(
+    "bounds, got",
+    [
+        ((-1, 2), "max length -1 and max part 2"),
+        ((3, -1), "max length 3 and max part -1"),
+        ((3, 2, -1), "max length 3, max part 2 and max size -1"),
+    ],
+)
+def test_sweep_range_refuses_negative_bounds(bounds, got):
+    message = f"sweep bounds must be nonnegative, got {got}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepRange(*bounds)
 
 
 def test_sweep_size_limit(monkeypatch):
@@ -103,14 +117,14 @@ def test_a_size_capped_sweep_lists_in_the_time_of_its_size():
 
 @pytest.mark.parametrize("name", ALL_CHECKS)
 def test_an_empty_sweep_is_refused_not_passed(name):
-    empty = SweepRange(3, 2, max_size=-1)
-    assert empty.count() == 0
-    with pytest.raises(ValueError, match=r"\(length <= 3, parts <= 2, size <= -1\) holds no "
-                       "composition, and no extra one was given"):
-        run_checks([name], empty, ())
-    # an extra composition alone is a sweep of one
-    [report] = run_checks([name], empty, ((0, 1),))
-    assert report.compositions_tested == 1
+    # a negative max size would list no composition, so the range is refused
+    # before any check runs, even with the spot shapes to sweep
+    with pytest.raises(ValueError, match="max size -1"):
+        run_checks([name], SweepRange(3, 2, max_size=-1), SPOT_COMPOSITIONS)
+    # every admitted range holds the empty composition; an extra one adds to it
+    [report] = run_checks([name], SweepRange(3, 2, max_size=0), ((0, 1),))
+    assert report.passed
+    assert report.compositions_tested == 5
 
 
 def test_positivity_small_range():
