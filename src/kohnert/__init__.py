@@ -29,7 +29,6 @@ from .crystal import (
 )
 from .poly import (
     SparsePolynomial,
-    SymmetryProfile,
     classify_symmetry,
     is_monomial_positive,
     is_quasisymmetric,

@@ -289,18 +289,8 @@ def schur_polynomial(shape: Composition, n: int) -> SparsePolynomial:
     return SparsePolynomial.from_dict(n, dict(counts))
 
 
-@dataclass(frozen=True)
-class SymmetryProfile:
-    """Shape-side symmetry and quasisymmetry classification of a composition."""
-
-    key_sym: bool
-    key_qsym: bool
-    lock_sym: bool
-    lock_qsym: bool
-
-
-def classify_symmetry(a: Composition) -> SymmetryProfile:
-    """Evaluate the four combinatorial predicates directly on ``a``.
+def classify_symmetry(a: Composition) -> dict[str, bool]:
+    """The four shape-side predicates of ``a``, keyed by the statement each decides.
 
     key polynomial symmetric  <=> a weakly increasing;
     key/lock quasisymmetric   <=> no zero parts, or weakly increasing;
@@ -308,9 +298,13 @@ def classify_symmetry(a: Composition) -> SymmetryProfile:
     parts (the all-zero composition counts as symmetric by convention).
     """
     increasing = all(a[i] <= a[i + 1] for i in range(len(a) - 1))
-    no_zeros = 0 not in a
-    qsym = no_zeros or increasing
+    qsym = 0 not in a or increasing
     nonzero = [p for p in a if p > 0]
     k = len(nonzero)
     lock_sym = k == 0 or (len(set(nonzero)) == 1 and all(p == 0 for p in a[: len(a) - k]))
-    return SymmetryProfile(key_sym=increasing, key_qsym=qsym, lock_sym=lock_sym, lock_qsym=qsym)
+    return {
+        "key symmetric": increasing,
+        "key quasisymmetric": qsym,
+        "lock symmetric": lock_sym,
+        "lock quasisymmetric": qsym,
+    }

@@ -102,7 +102,7 @@ def schedule_groups(alpha: Composition) -> tuple[tuple[int, ...], ...]:
     that box from its right-justified column to column k.  Parts of maximal
     size contribute nothing.
     """
-    if any(p <= 0 for p in alpha):
+    if any(type(p) is not int or p <= 0 for p in alpha):  # type(): True is an int
         raise ValueError(f"flattened composition must have positive parts, got {alpha}")
     m = max(alpha, default=0)
     groups = []

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import MAX_CELLS, Composition, TheoremViolation, flatten, padded_weight, weight
+from .core import (
+    MAX_CELLS,
+    Composition,
+    TheoremViolation,
+    _check_parts,
+    flatten,
+    padded_weight,
+    weight,
+)
 from .crystal import crystal_graph, is_connected
 from .poly import (
     classify_symmetry,
@@ -64,15 +72,17 @@ class SweepRange:
     max_size: int | None = None
 
     def __post_init__(self) -> None:
-        # a negative bound leaves nothing to sweep, and an empty sweep must not pass
+        # a bound that is not an int would fail inside range(), or sweep a bool as
+        # 0 or 1; a negative one leaves nothing to sweep, and an empty sweep must not pass
         bounds = {"max length": self.max_length, "max part": self.max_part}
         if self.max_size is not None:
             bounds["max size"] = self.max_size
+        *named, last = (f"{name} {value!r}" for name, value in bounds.items())
+        got = f"{', '.join(named)} and {last}"
+        if any(type(value) is not int for value in bounds.values()):
+            raise ValueError(f"sweep bounds must be integers, got {got}")
         if min(bounds.values()) < 0:
-            *named, last = (f"{name} {value}" for name, value in bounds.items())
-            raise ValueError(
-                f"sweep bounds must be nonnegative, got {', '.join(named)} and {last}"
-            )
+            raise ValueError(f"sweep bounds must be nonnegative, got {got}")
 
     def count(self) -> int:
         """How many compositions ``compositions`` yields, in closed form."""
@@ -128,30 +138,42 @@ def _sweep(
     rng: SweepRange, extra: Sequence[Composition]
 ) -> list[Composition]:
     """``rng``'s compositions, then ``extra``'s not among them.  The one admission
-    of a sweep: ValueError past the length, size or count limit."""
-    n, p = rng.max_length, rng.max_part
+    of a sweep: ValueError, before any composition is listed, past the range's
+    length or size limit, for an extra composition that ``_check_parts`` refuses
+    or that is past the same limits, and past the count limit of the two together."""
+    n, p, s = rng.max_length, rng.max_part, rng.max_size
     if n > MAX_CELLS:  # the size test below passes any length at max part 0
         raise ValueError(f"sweep length {n} (max-len) exceeds the limit of {MAX_CELLS} parts")
     # the largest composition's size: length * part, unless max_size caps it lower
     cells, bound = n * p, "max-len * max-part"
-    if rng.max_size is not None and rng.max_size < cells:
-        cells, bound = rng.max_size, "max size"
+    if s is not None and s < cells:
+        cells, bound = s, "max size"
     if cells > MAX_CELLS:
         raise ValueError(f"sweep size {cells} ({bound}) exceeds the limit of {MAX_CELLS} cells")
-    count = rng.count()
-    if count > MAX_SWEEP:
-        size = "" if rng.max_size is None else f", size <= {rng.max_size}"
-        raise ValueError(
-            f"the sweep range (length <= {n}, parts <= {p}{size}) holds {count} compositions, "
-            f"which exceeds the limit of {MAX_SWEEP} compositions"
-        )
-    comps = list(rng.compositions())
-    seen = set(comps)
     for a in extra:
-        if a not in seen:
-            comps.append(a)
-            seen.add(a)
-    return comps
+        _check_parts(a)
+        if len(a) > MAX_CELLS:
+            raise ValueError(
+                f"extra composition length {len(a)} exceeds the limit of {MAX_CELLS} parts"
+            )
+        if sum(a) > MAX_CELLS:
+            raise ValueError(
+                f"extra composition size {sum(a)} exceeds the limit of {MAX_CELLS} cells"
+            )
+    # the range holds a composition iff its length, parts and size are in bounds
+    new = [
+        a for a in dict.fromkeys(extra)
+        if len(a) > n or max(a, default=0) > p or (s is not None and sum(a) > s)
+    ]
+    count = rng.count() + len(new)
+    if count > MAX_SWEEP:
+        size = "" if s is None else f", size <= {s}"
+        added = f" with {len(new)} extra compositions" if new else ""
+        raise ValueError(
+            f"the sweep range (length <= {n}, parts <= {p}{size}){added} holds {count} "
+            f"compositions, which exceeds the limit of {MAX_SWEEP} compositions"
+        )
+    return [*rng.compositions(), *new]
 
 
 def check_positivity(a: Composition) -> str | None:
@@ -224,21 +246,20 @@ def check_connectivity(a: Composition) -> str | None:
 def check_characterizations(a: Composition) -> str | None:
     """Polynomial-side symmetry tests match the shape-side predicates,
     with the Schur and lock-equals-key identities in their special cases."""
-    profile = classify_symmetry(a)
-    kp = key_polynomial(a)
-    lp = lock_polynomial(a)
-    facts = (
-        ("key symmetric", is_symmetric(kp), profile.key_sym),
-        ("key quasisymmetric", is_quasisymmetric(kp), profile.key_qsym),
-        ("lock symmetric", is_symmetric(lp), profile.lock_sym),
-        ("lock quasisymmetric", is_quasisymmetric(lp), profile.lock_qsym),
+    facts = classify_symmetry(a)
+    kp, lp = key_polynomial(a), lock_polynomial(a)
+    tests = (
+        ("key symmetric", is_symmetric(kp)),
+        ("key quasisymmetric", is_quasisymmetric(kp)),
+        ("lock symmetric", is_symmetric(lp)),
+        ("lock quasisymmetric", is_quasisymmetric(lp)),
     )
-    for name, poly_side, shape_side in facts:
-        if poly_side != shape_side:
-            return f"{name}: polynomial says {poly_side}, shape says {shape_side}"
-    if profile.key_sym and kp != schur_polynomial(tuple(reversed(a)), len(a)):
+    for name, poly_side in tests:
+        if poly_side != facts[name]:
+            return f"{name}: polynomial says {poly_side}, shape says {facts[name]}"
+    if facts["key symmetric"] and kp != schur_polynomial(tuple(reversed(a)), len(a)):
         return "key polynomial of increasing content is not the reversed-shape Schur"
-    if profile.lock_sym:
+    if facts["lock symmetric"]:
         shape = tuple(sorted(flatten(a), reverse=True))
         if lp != schur_polynomial(shape, len(a)):
             return "symmetric lock polynomial is not the rectangular Schur"

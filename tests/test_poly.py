@@ -166,16 +166,17 @@ def test_kappa_minus_lock_zero_for_31():
 
 
 def test_classify_symmetry():
-    p = classify_symmetry((0, 2, 3))
-    assert (p.key_sym, p.key_qsym, p.lock_sym, p.lock_qsym) == (True, True, False, True)
-    p = classify_symmetry((2, 1))
-    assert (p.key_sym, p.key_qsym, p.lock_sym, p.lock_qsym) == (False, True, False, True)
-    p = classify_symmetry((0, 2, 2))
-    assert (p.key_sym, p.key_qsym, p.lock_sym, p.lock_qsym) == (True, True, True, True)
-    p = classify_symmetry((0, 0))
-    assert (p.key_sym, p.key_qsym, p.lock_sym, p.lock_qsym) == (True, True, True, True)
-    p = classify_symmetry((2, 0, 2))
-    assert p.lock_sym is False
+    statements = ("key symmetric", "key quasisymmetric", "lock symmetric", "lock quasisymmetric")
+    cases = {
+        (0, 2, 3): (True, True, False, True),
+        (2, 1): (False, True, False, True),
+        (0, 2, 2): (True, True, True, True),
+        (0, 0): (True, True, True, True),
+        (2, 0, 2): (False, False, False, False),
+    }
+    for a, values in cases.items():
+        # the statements in the order the characterizations check reports them
+        assert list(classify_symmetry(a).items()) == list(zip(statements, values)), a
 
 
 def closure_polynomial(a, kind):

@@ -171,9 +171,11 @@ def test_build_schedule_maximal_parts_empty():
     assert build_schedule(()) == ()
 
 
-def test_build_schedule_rejects_zero_parts():
-    with pytest.raises(ValueError):
-        build_schedule((1, 0, 2))
+@pytest.mark.parametrize("alpha", [(1, 0, 2), (1.5,), (True, 2)])
+def test_build_schedule_rejects_zero_parts(alpha):
+    # a float would fail inside range(), and True would schedule as the part 1
+    with pytest.raises(ValueError, match="must have positive parts"):
+        build_schedule(alpha)
 
 
 def test_schedule_groups_1332():

@@ -20,7 +20,7 @@ from kohnert import (
     check_positivity,
     run_checks,
 )
-from kohnert.core import TheoremViolation
+from kohnert.core import MAX_CELLS, TheoremViolation
 from kohnert.verify import ALL_CHECKS, DEFAULT_RANGE, REPORT_NAMES, _sweep
 
 SMALL = SweepRange(max_length=3, max_part=2)
@@ -69,6 +69,25 @@ def test_sweep_range_refuses_negative_bounds(bounds, got):
         SweepRange(*bounds)
 
 
+@pytest.mark.parametrize(
+    "bounds, got",
+    [
+        ((2.5, 2), "max length 2.5 and max part 2"),
+        ((2, 2.0), "max length 2 and max part 2.0"),
+        ((3, 2, 2.5), "max length 3, max part 2 and max size 2.5"),
+        (("3", 2), "max length '3' and max part 2"),
+        ((True, 2), "max length True and max part 2"),
+        ((3, -1.0), "max length 3 and max part -1.0"),
+    ],
+)
+def test_sweep_range_refuses_bounds_that_are_not_ints(bounds, got):
+    # before the sign test: range() would raise TypeError on a float, "<" on a
+    # string, and True would sweep as length 1
+    message = f"sweep bounds must be integers, got {got}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepRange(*bounds)
+
+
 def test_sweep_size_limit(monkeypatch):
     # the default range and the benchmark's are listed; one past the limit is refused first
     assert len(_sweep(DEFAULT_RANGE, SPOT_COMPOSITIONS)) == 343
@@ -100,6 +119,45 @@ def test_a_size_cap_below_the_cell_limit_admits_a_long_range():
     with pytest.raises(ValueError, match=re.escape(
             "sweep size 600 (max size) exceeds the limit of 512 cells")):
         _sweep(SweepRange(100, 9, 600), ())
+
+
+#: Extra compositions ``_sweep`` refuses, and the refusal each gets.
+REFUSED_EXTRA = [
+    ([[1, 2]], "a weak composition is a tuple of nonnegative integer parts"),
+    ([(1, -1)], "a weak composition is a tuple of nonnegative integer parts"),
+    ([(0, 2), (1, 2.0)], "a weak composition is a tuple of nonnegative integer parts"),
+    ([(600,)], f"extra composition size 600 exceeds the limit of {MAX_CELLS} cells"),
+    ([(0,) * 600], f"extra composition length 600 exceeds the limit of {MAX_CELLS} parts"),
+    (
+        [(i, j) for i in range(2, 102) for j in range(50)],
+        "the sweep range (length <= 1, parts <= 1) with 5000 extra compositions holds "
+        "5003 compositions, which exceeds the limit of 4000 compositions",
+    ),
+]
+
+
+@pytest.mark.parametrize("extra, message", REFUSED_EXTRA)
+def test_a_refused_extra_composition_runs_no_check(monkeypatch, extra, message):
+    import kohnert.verify as verify
+
+    calls = []
+    monkeypatch.setitem(verify.ALL_CHECKS, "positivity", calls.append)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_checks(["positivity"], SweepRange(1, 1), extra)
+    assert calls == []
+
+
+def test_extra_compositions_count_toward_the_sweep_limit_once_each(monkeypatch):
+    monkeypatch.setattr(kohnert.verify, "MAX_SWEEP", 5)
+    # the range holds (), (0,) and (1,); of the extras only (2,) and (3,) are new
+    extra = [(0,), (2,), (1,), (3,), (2,)]
+    assert _sweep(SweepRange(1, 1), extra) == [(), (0,), (1,), (2,), (3,)]
+    # a size cap leaves (1,) out of the range, so it counts as an extra
+    assert _sweep(SweepRange(1, 1, 0), [(1,), (1,)]) == [(), (0,), (1,)]
+    with pytest.raises(ValueError, match=re.escape(
+            "the sweep range (length <= 1, parts <= 1) with 3 extra compositions "
+            "holds 6 compositions, which exceeds the limit of 5 compositions")):
+        _sweep(SweepRange(1, 1), [*extra, (0, 0)])
 
 
 def test_a_size_capped_sweep_lists_in_the_time_of_its_size():
@@ -424,18 +482,15 @@ def test_connectivity_catches_a_disconnected_crystal(monkeypatch, kind):
 
 
 @pytest.mark.parametrize(
-    "field, name",
-    [("key_sym", "key symmetric"), ("key_qsym", "key quasisymmetric"),
-     ("lock_sym", "lock symmetric"), ("lock_qsym", "lock quasisymmetric")],
+    "name", ["key symmetric", "key quasisymmetric", "lock symmetric", "lock quasisymmetric"]
 )
-def test_characterizations_catch_a_wrong_shape_predicate(monkeypatch, field, name):
+def test_characterizations_catch_a_wrong_shape_predicate(monkeypatch, name):
     import kohnert.verify as verify
 
     a = (1, 0, 2)  # every predicate is False here
-    profile = verify.classify_symmetry(a)
-    assert not getattr(profile, field)
-    flipped = dataclasses.replace(profile, **{field: True})
-    monkeypatch.setattr(verify, "classify_symmetry", lambda b: flipped)
+    facts = verify.classify_symmetry(a)
+    assert facts[name] is False
+    monkeypatch.setattr(verify, "classify_symmetry", lambda b: {**facts, name: True})
     assert check_characterizations(a) == f"{name}: polynomial says False, shape says True"
 
 
