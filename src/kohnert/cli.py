@@ -125,7 +125,13 @@ def _cmd_enum(args) -> int:
 
 def _cmd_poly(args) -> int:
     p = polynomial(args.comp, args.kind)
-    print(json.dumps(p.to_json()) if args.format == "json" else render_text(p))
+    if args.format == "json":
+        # json.dumps of p.to_json(): exponents and coefficients are ints, and
+        # a list of ints prints as its JSON text
+        terms = _json_list(f'{{"exp": {list(exp)}, "coef": {coef}}}' for exp, coef in p.terms)
+        print(f'{{"n": {p.n}, "terms": {terms}}}')
+    else:
+        print(render_text(p))
     return 0
 
 

@@ -274,23 +274,22 @@ def _push_unpaired(
     return bit.bit_length(), tuple(out)
 
 
-@lru_cache(maxsize=None)
-def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
-    """All diagrams reachable from ``d`` by Kohnert moves, including ``d``.
+@lru_cache(maxsize=4)
+def closure_states(rows: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The Kohnert closure of the diagram with row masks ``rows``, as packed
+    states: its width w and one int per diagram, the start first, in which
+    row r sits in bits ``(r - 1) * w`` onward, so a move is two bit flips.
 
-    Breadth-first search with a visited set over packed states: row r sits
-    in bits ``(r - 1) * w`` onward of one int, ``w`` being the width of
-    ``d``, so a move is two bit flips.  Only the results become Diagrams,
-    sorted so that iteration order (and anything serialized from it) is
-    deterministic.  Finding more than MAX_CLOSURE diagrams raises ValueError.
+    Breadth-first search with a visited set.  Finding more than MAX_CLOSURE
+    diagrams raises ValueError.  The few latest searches are kept, so a lock
+    polynomial, which counts the states' row weights, and the lock
+    enumeration of the same content that follows it share one search.
     """
-    w = d.max_col
-    height = d.max_row
-    if not w:
-        return (d,)
+    w = max(rows, default=0).bit_length()
+    height = len(rows)
     full = (1 << w) - 1
     column = sum(1 << (r * w) for r in range(height))  # bit 0 of every row
-    start = sum(mask << (r * w) for r, mask in enumerate(d.rows))
+    start = sum(mask << (r * w) for r, mask in enumerate(rows))
     seen = {start}
     frontier = [start]
     for state in frontier:  # grows while it is read: a FIFO queue
@@ -308,10 +307,22 @@ def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
                     seen.add(nxt)
                     frontier.append(nxt)
                     if len(seen) > MAX_CLOSURE:
-                        raise _closure_too_large(weight(d))
-    cell_at = [(p // w + 1, p % w + 1) for p in range(height * w)]  # bit p -> its cell
+                        raise _closure_too_large(tuple(map(int.bit_count, rows)))
+    return w, tuple(frontier)
+
+
+@lru_cache(maxsize=None)
+def kohnert_closure(d: Diagram) -> tuple[Diagram, ...]:
+    """All diagrams reachable from ``d`` by Kohnert moves, including ``d``:
+    the states of ``closure_states`` decoded into Diagrams, sorted so that
+    iteration order (and anything serialized from it) is deterministic."""
+    w, states = closure_states(d.rows)
+    if not w:
+        return (d,)
+    full = (1 << w) - 1
+    cell_at = [(p // w + 1, p % w + 1) for p in range(d.max_row * w)]  # bit p -> its cell
     out = []
-    for state in frontier:
+    for state in states:
         cells = []
         rest = state
         while rest:  # lowest bit first, which is row-major order

@@ -1,6 +1,7 @@
 """Sparse integer polynomials over exponent vectors, and the generating
 polynomials of key and lock Kohnert tableaux: key polynomials by Demazure
-operators, lock polynomials by Kohnert's rule.
+operators, lock polynomials by Kohnert's rule, counted on the packed states
+of the closure search without building a diagram.
 
 Coefficients are Python ints (arbitrary precision).  The variable count n is
 carried explicitly because quasisymmetry depends on it, not just on the
@@ -11,16 +12,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
+from operator import lt
 
 from .core import (
     MAX_CLOSURE,
     Composition,
     _closure_too_large,
     cached_on_composition,
-    family_closure,
+    closure_states,
     is_lock,
-    padded_weight,
+    lock_diagram,
 )
 
 ExponentVector = tuple[int, ...]
@@ -38,15 +41,21 @@ class SparsePolynomial:
     terms: tuple[tuple[ExponentVector, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for exp, coef in self.terms:
-            if len(exp) != self.n:
-                raise ValueError(f"exponent {exp} has length != {self.n}")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
-            if coef == 0:
-                raise ValueError("zero coefficient stored")
-        exps = [exp for exp, _ in self.terms]
-        if sorted(set(exps)) != exps:
+        """Refuse the terms unless every exponent has length n and no
+        negative entry, no coefficient is zero, and the exponents strictly
+        increase.  Each test is one pass of builtins over all terms, in that
+        order; a message names the first term that fails its test."""
+        if not self.terms:
+            return
+        exps, coefs = zip(*self.terms)
+        n = self.n
+        if set(map(len, exps)) != {n}:
+            raise ValueError(f"exponent {next(e for e in exps if len(e) != n)} has length != {n}")
+        if min(chain.from_iterable(exps), default=0) < 0:
+            raise ValueError(f"negative exponent in {next(e for e in exps if min(e) < 0)}")
+        if 0 in coefs:
+            raise ValueError("zero coefficient stored")
+        if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be sorted with distinct exponents")
 
     @classmethod
@@ -117,15 +126,21 @@ def polynomial(a: Composition, kind: str) -> SparsePolynomial:
     The key polynomial is the Demazure character ``_demazure(a)``.  The lock
     polynomial is, by Kohnert's rule, the sum of x^wt(D) over the Kohnert
     closure of the lock diagram: each closure diagram carries exactly one
-    lock tableau, so the weights are counted without labeling.  Trailing
-    zero parts add only zero exponents, so a padded content pads its
-    stripped content's exponents.
+    lock tableau, so the weights are counted without labeling, on the packed
+    states of ``closure_states`` (row r + 1's weight is the bit count of
+    bits r * w to r * w + w - 1), with no Diagram built.  Trailing zero
+    parts add only zero exponents, so a padded content pads its stripped
+    content's exponents.
     """
     n = len(a)
     if not is_lock(kind):
-        return SparsePolynomial.from_dict(n, _demazure(a))
-    counts = Counter(padded_weight(d, n) for d in family_closure(a, kind))
-    return SparsePolynomial.from_dict(n, dict(counts))
+        return SparsePolynomial(n, tuple(sorted(_demazure(a).items())))
+    w, states = closure_states(lock_diagram(a).rows)
+    full = (1 << w) - 1
+    # one list per row: its bit count in each state, a state's weight read down the lists
+    rows = [[(s >> k & full).bit_count() for s in states] for k in [r * w for r in range(n)]]
+    counts = Counter(zip(*rows)) if n else {(): len(states)}
+    return SparsePolynomial(n, tuple(sorted(counts.items())))
 
 
 def _sorting_word(a: Composition) -> list[int]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import kohnert.cli as cli
 import kohnert.core
 from kohnert.cli import MAX_CELLS, MAX_INPUT_CHARS, main, parse_composition
-from kohnert.core import MAX_CLOSURE, kohnert_closure
+from kohnert.core import MAX_CLOSURE, closure_states, kohnert_closure
 from kohnert.crystal import crystal_graph
 from kohnert.poly import polynomial
 from kohnert.tableaux import enumerate_tableaux
@@ -151,8 +151,10 @@ def test_map_default_source_searches_no_closure(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError(f"closure searched for {args}")
 
-    for module in (core, poly, tableaux, cli):
+    for module in (core, tableaux, cli):
         monkeypatch.setattr(module, "family_closure", refuse)
+    for module in (core, poly):
+        monkeypatch.setattr(module, "closure_states", refuse)
     monkeypatch.setattr(core, "kohnert_closure", refuse)
     assert tableaux.lock_source_tableau((0, 2, 3)) == expected
     code, out, _ = run_cli(capsys, "map", "--comp", "0,2,3", "--format", "json")
@@ -402,7 +404,8 @@ def test_the_closure_search_refuses_past_its_limit(monkeypatch, capsys, command)
     # the lock closure of 0,2,3 holds 7 diagrams, so under a limit of 6 the search
     # itself refuses it; a key polynomial is refused by its coefficient sums first
     monkeypatch.setattr(kohnert.core, "MAX_CLOSURE", 6)
-    for cached in (kohnert_closure, enumerate_tableaux, polynomial, crystal_graph):
+    caches = (closure_states, kohnert_closure, enumerate_tableaux, polynomial, crystal_graph)
+    for cached in caches:
         cached.cache_clear()
     code, out, err = run_cli(capsys, *command, "--comp", "0,2,3")
     assert (code, out) == (2, "")

@@ -262,6 +262,37 @@ def test_polynomial_invariants():
         SparsePolynomial(2, (((1, -1), 1),))
 
 
+UNSORTED = "terms must be sorted with distinct exponents"
+
+
+@pytest.mark.parametrize(
+    "n, terms, message",
+    [
+        (2, (((0, 1), 1), ((1,), 1)), "exponent (1,) has length != 2"),
+        (2, (((0, 1), 1), ((1, 0, 0), 1)), "exponent (1, 0, 0) has length != 2"),
+        (2, (((0, 1), 1), ((1, -1), 1)), "negative exponent in (1, -1)"),
+        (2, (((0, 1), 1), ((1, 0), 0)), "zero coefficient stored"),
+        (2, (((0, 1), 1), ((1, 0), 2), ((1, 0), 3)), UNSORTED),
+        (2, (((0, 1), 1), ((1, 1), 2), ((1, 0), 3)), UNSORTED),
+        # the tests run in this order, each naming the first term it refuses
+        (2, (((0, 1), 1), ((0, -1), 0), ((1,), 1)), "exponent (1,) has length != 2"),
+        (2, (((0, 1), 1), ((1, -1), 1), ((0, -2), 1)), "negative exponent in (1, -1)"),
+        (2, (((1, 0), 1), ((0, 1), 0)), "zero coefficient stored"),
+    ],
+)
+def test_polynomial_refuses_a_fault_past_the_first_term(n, terms, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SparsePolynomial(n, terms)
+
+
+def test_polynomial_in_no_variables():
+    assert SparsePolynomial(0, (((), 1),)).terms == (((), 1),)
+    assert SparsePolynomial(0, ()).terms == ()
+    assert SparsePolynomial(3).terms == ()
+    with pytest.raises(ValueError, match=UNSORTED):
+        SparsePolynomial(0, (((), 1), ((), 2)))
+
+
 def test_json_shape():
     data = LOCK_023.to_json()
     assert data["n"] == 3

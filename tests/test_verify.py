@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import re
@@ -102,7 +103,7 @@ def test_sweep_size_limit(monkeypatch):
 
 
 def test_sweep_refuses_a_range_past_the_cell_limits():
-    # refused before the Schur oracle, which recurses once per cell, sees 1,100 cells
+    # refused before the Schur oracle, which keeps one entry per cell, fills 1,100 cells
     with pytest.raises(ValueError, match=re.escape(
             "sweep size 1100 (max-len * max-part) exceeds the limit of 512 cells")):
         run_checks(["characterize"], SweepRange(1, 1100), ())
@@ -258,8 +259,14 @@ def test_positivity_catches_the_word_applied_first_recorded_first(monkeypatch, c
 
 def test_positivity_catches_a_dropped_lock_closure_diagram(monkeypatch, cold_polynomials):
     poly = cold_polynomials
-    family_closure = poly.family_closure
-    monkeypatch.setattr(poly, "family_closure", lambda a, kind: family_closure(a, kind)[1:])
+    closure_states = poly.closure_states
+
+    def dropped(rows):
+        # the search the lock polynomial counts loses its first state
+        w, states = closure_states(rows)
+        return w, states[1:]
+
+    monkeypatch.setattr(poly, "closure_states", dropped)
     assert check_positivity((1, 0, 2, 1)) == (
         "lock polynomial is not the weight count of the lock tableaux"
     )
@@ -327,22 +334,38 @@ def test_positivity_catches_a_lock_source_that_is_not_the_one_of_its_weight(monk
     assert report.failures == ((a, witness),)
 
 
+@pytest.fixture
+def cold_closures():
+    """Clear the closure caches around a test whose faults change them."""
+    import kohnert.core
+
+    caches = (kohnert.core.closure_states, kohnert.core.kohnert_closure)
+    for cached in caches:
+        cached.cache_clear()
+    yield kohnert.core
+    for cached in caches:  # the originals: the test may have patched the names
+        cached.cache_clear()
+
+
 def test_positivity_catches_two_lock_tableaux_of_the_source_weight(
-    monkeypatch, cold_polynomials, cold_tableaux
+    monkeypatch, cold_closures, cold_polynomials, cold_tableaux
 ):
-    poly, tableaux = cold_polynomials, cold_tableaux
+    core, poly, tableaux = cold_closures, cold_polynomials, cold_tableaux
     a = (1, 0, 2, 1)
     source = tableaux.lock_source_tableau(a)
-    family_closure = tableaux.family_closure
+    lock_rows = core.lock_diagram(a).rows
+    closure_states = core.closure_states
 
-    def doubled(b, kind):
+    def doubled(rows):
         # a closure search that finds the source diagram twice, for the
         # lock polynomial and the lock enumeration alike
-        found = family_closure(b, kind)
-        return found + (source.diagram,) if (b, kind) == (a, "lock") else found
+        w, states = closure_states(rows)
+        if rows != lock_rows:
+            return w, states
+        return w, states + (sum(m << (r * w) for r, m in enumerate(source.diagram.rows)),)
 
-    monkeypatch.setattr(poly, "family_closure", doubled)
-    monkeypatch.setattr(tableaux, "family_closure", doubled)
+    monkeypatch.setattr(poly, "closure_states", doubled)
+    monkeypatch.setattr(core, "closure_states", doubled)
     witness = "2 lock tableaux have weight (1, 2, 1), not exactly one"
     assert check_positivity(a) == witness
     [report] = run_checks(["positivity"], SweepRange(0, 0), [a])
@@ -458,6 +481,41 @@ def test_agreement_reports_a_vanished_prefix_step(monkeypatch):
     monkeypatch.setattr(verify, "rectify_walk", lambda rows, indices: ([None], list(rows)))
     witness = check_agreement_and_truncation((0, 2, 3))
     assert witness.startswith("rectification vanished at prefix step 0 (index 1) on ")
+
+
+def test_positivity_shares_one_closure_search_per_diagram(monkeypatch):
+    # the lock polynomial and the lock enumeration of a content search its
+    # closure once between them, and a key diagram that is also a lock
+    # diagram is searched once for both families
+    import kohnert.core as core
+    import kohnert.poly as poly
+    import kohnert.tableaux as tableaux
+
+    searched = []
+    uncached = core.closure_states.__wrapped__
+
+    def search(rows):
+        searched.append(rows)
+        return uncached(rows)
+
+    maxsize = core.closure_states.cache_parameters()["maxsize"]
+    counted = functools.lru_cache(maxsize=maxsize)(search)
+    for module in (core, poly):
+        monkeypatch.setattr(module, "closure_states", counted)
+    caches = (core.kohnert_closure, tableaux.enumerate_tableaux, poly.polynomial)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        [report] = run_checks(["positivity"], SweepRange(4, 3))
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert report.passed
+    diagrams = {
+        make(a).rows for a in _sweep(SweepRange(4, 3), SPOT_COMPOSITIONS)
+        for make in (core.key_diagram, core.lock_diagram)
+    }
+    assert len(searched) == len(diagrams) and set(searched) == diagrams
 
 
 def test_positivity_catches_a_negative_term(monkeypatch):
