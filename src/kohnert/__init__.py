@@ -16,6 +16,7 @@ from .core import (
 )
 from .crystal import (
     CrystalGraph,
+    crystal_counts,
     crystal_graph,
     is_connected,
     lower_diagram,

@@ -6,12 +6,15 @@ i+1 down to row i, and lowering, its partial inverse, the leftmost unpaired
 box of row i up to row i+1.  Both tableau families raise the same way,
 through the underlying diagram and relabeling, with one extra rule for
 locks: raising stops when a box to the right of the moving box, in its row,
-carries its label.
+carries its label.  That rule, ``_lock_stops``, needs only the row masks,
+since a lock label is forced by its box's place in its column, and so does
+the one edge routine, ``_edges``.  ``crystal_graph`` runs it on the
+enumerated tableaux, and ``crystal_counts`` on the closure's packed states,
+for the two counts that need no labeling.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -21,9 +24,18 @@ from .core import (
     _cells,
     _push_unpaired,
     cached_on_composition,
+    closure_states,
     is_lock,
+    key_diagram,
+    lock_diagram,
 )
-from .tableaux import LabeledDiagram, enumerate_tableaux, label_key, label_lock
+from .tableaux import (
+    LabeledDiagram,
+    _column_labels,
+    enumerate_tableaux,
+    label_key,
+    label_lock,
+)
 
 
 def raise_diagram(d: Diagram, i: int) -> Diagram | None:
@@ -38,15 +50,30 @@ def lower_diagram(d: Diagram, i: int) -> Diagram | None:
     return None if lowered is None else Diagram._trusted(_cells(lowered[1]), lowered[1])
 
 
-def _lock_stops(t: LabeledDiagram, i: int, c: int) -> bool:
-    """The lock stop rule: whether a box to the right of the moving box
-    (i+1, c), in its row, carries its label.  Lock raising then does
-    nothing, even though the diagram itself could be raised."""
-    entries = t.entries
-    k = bisect_left(entries, ((i + 1, c),))
-    end = bisect_left(entries, ((i + 2,),), k)  # the first entry above row i+1
-    label = entries[k][1]
-    return any(l == label for _, l in entries[k + 1:end])
+def _lock_stops(rows: tuple[int, ...], labels: tuple[tuple[int, ...], ...], i: int,
+                c: int) -> bool:
+    """The lock stop rule on the row masks ``rows`` of a lock tableau:
+    whether a box to the right of the moving box (i+1, c), in its row,
+    carries its label.  Lock raising then does nothing, even though the
+    diagram itself could be raised.
+
+    A lock label is forced by its column's order: the k-th box from the
+    bottom of column c, counting from 0, carries ``labels[c - 1][k]``, where
+    ``labels`` is ``_column_labels(a, "lock")``.  So a box's label is read
+    off the number of boxes below it in its column, and no entry is needed.
+    """
+    upper = rows[i]
+    if not upper >> c:  # no box to the right
+        return False
+    below = rows[:i]
+
+    def label(col: int) -> int:
+        bit = 1 << (col - 1)  # each mask below adds bit when it has a box in col
+        return labels[col - 1][sum(map(bit.__and__, below)) >> (col - 1)]
+
+    moving = label(c)
+    return any(label(col) == moving
+               for col in range(c + 1, upper.bit_length() + 1) if upper >> (col - 1) & 1)
 
 
 def raise_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> LabeledDiagram | None:
@@ -59,8 +86,9 @@ def raise_tableau(t: LabeledDiagram, a: Composition, i: int, kind: str) -> Label
     A raised diagram with no labeling is a TheoremViolation.
     """
     lock = is_lock(kind)
-    raised = _push_unpaired(t.diagram.rows, i)
-    if raised is None or lock and _lock_stops(t, i, raised[0]):
+    rows = t.diagram.rows
+    raised = _push_unpaired(rows, i)
+    if raised is None or lock and _lock_stops(rows, _column_labels(a, "lock"), i, raised[0]):
         return None
     d = Diagram._trusted(_cells(raised[1]), raised[1])
     t2 = (label_lock if lock else label_key)(d, a)
@@ -133,31 +161,29 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-@cached_on_composition(pad=lambda g, a: replace(g, content=a))
-def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
-    """Build the key or lock crystal of content ``a``.
+def _edges(vertices: list[tuple[int, ...]], a: Composition,
+           kind: str) -> list[tuple[int, int, int]]:
+    """The edges of the key or lock crystal of content ``a`` whose vertices,
+    by position, have the row masks ``vertices``: (u, v, i) whenever raising
+    vertex v at color i gives vertex u.
 
     Raising is applied to every vertex at every color that can move a box,
     so a disconnected graph would be constructed faithfully rather than
     hidden by a search from one source.  Colors run over 1 .. (the vertex's
     highest row) - 1: at any higher color row i+1 is empty, so nothing is
-    raised.  Both families raise the vertex's row masks, skip the edge when
-    the lock stop rule applies, and look the raised masks up among the
-    vertices' instead of relabeling: every vertex is a labeling of a closure
-    diagram, and a diagram has at most one labeling per family.  A raised
-    diagram outside the Kohnert closure is a TheoremViolation.  Rows above
-    the stripped content's length hold no box, so a padded content gets its
-    stripped content's vertices and edges, in a record that carries ``a``.
+    raised.  Each vertex's masks are raised by ``_push_unpaired``, the edge
+    is skipped when the lock stop rule applies, and the raised masks are
+    looked up among the vertices' instead of relabeling: every vertex is a
+    closure diagram, and a diagram has at most one labeling per family.
+    Raised masks outside the Kohnert closure are a TheoremViolation.
     """
-    lock = is_lock(kind)
-    vertices = enumerate_tableaux(a, kind)
-    index = {v.diagram.rows: k for k, v in enumerate(vertices)}
+    labels = _column_labels(a, "lock") if is_lock(kind) else None
+    index = {rows: k for k, rows in enumerate(vertices)}
     edges = []
-    for v_idx, v in enumerate(vertices):
-        rows = v.diagram.rows
+    for v, rows in enumerate(vertices):
         for color in range(1, len(rows)):
             raised = _push_unpaired(rows, color)
-            if raised is None or lock and _lock_stops(v, color, raised[0]):
+            if raised is None or labels is not None and _lock_stops(rows, labels, color, raised[0]):
                 continue
             u = index.get(raised[1])
             if u is None:
@@ -165,8 +191,38 @@ def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
                     f"raised {kind} diagram {_cells(raised[1])} is not in the Kohnert "
                     f"closure of {a}"
                 )
-            edges.append((u, v_idx, color))
+            edges.append((u, v, color))
+    return edges
+
+
+@cached_on_composition(pad=lambda g, a: replace(g, content=a))
+def crystal_graph(a: Composition, kind: str) -> CrystalGraph:
+    """Build the key or lock crystal of content ``a``: its vertices are
+    ``enumerate_tableaux(a, kind)``, in that order, and its edges come from
+    ``_edges`` on their row masks, sorted.  Rows above the stripped
+    content's length hold no box, so a padded content gets its stripped
+    content's vertices and edges, in a record that carries ``a``.
+    """
+    vertices = enumerate_tableaux(a, kind)
+    edges = _edges([v.diagram.rows for v in vertices], a, kind)
     return CrystalGraph(kind, a, vertices, tuple(sorted(edges)))
+
+
+def crystal_counts(a: Composition, kind: str) -> tuple[int, int]:
+    """The numbers of vertices and edges of ``crystal_graph(a, kind)``,
+    counted on the packed states of ``closure_states``: each state decoded
+    into row masks is a vertex, and ``_edges`` runs on them.  No ``Diagram``
+    is built, nothing is labeled or sorted, and nothing is cached here.
+    """
+    seed = (lock_diagram if is_lock(kind) else key_diagram)(a)
+    w, states = closure_states(seed.rows)
+    if not w:  # no box: the one vertex is the empty diagram
+        return 1, 0
+    full = (1 << w) - 1
+    # row r sits in bits (r - 1) * w onward, up to the highest box
+    vertices = [tuple(state >> s & full for s in range(0, state.bit_length(), w))
+                for state in states]
+    return len(vertices), len(_edges(vertices, a, kind))
 
 
 def is_connected(g: CrystalGraph) -> bool:

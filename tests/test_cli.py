@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import kohnert.cli as cli
 import kohnert.core
+import kohnert.crystal
 from kohnert.cli import MAX_CELLS, MAX_INPUT_CHARS, main, parse_composition
-from kohnert.core import MAX_CLOSURE, closure_states, kohnert_closure
+from kohnert.core import MAX_CLOSURE, closure_states, kohnert_closure, lock_diagram
 from kohnert.crystal import crystal_graph
 from kohnert.poly import polynomial
 from kohnert.tableaux import enumerate_tableaux
@@ -332,6 +333,23 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "poly", "--kind", "key", "--comp", "1")
     assert code == 3
     assert "internal fault" in err
+
+
+def test_crystal_counts_with_a_raised_state_missing_are_an_internal_fault(monkeypatch, capsys):
+    # drop from the lock closure one state that another state raises to
+    a = (1, 0, 2, 1)
+    w, states = closure_states(lock_diagram(a).rows)
+    g = crystal_graph(a, "lock")
+    dropped = g.vertices[g.edges[0][0]].diagram
+    packed = sum(mask << (r * w) for r, mask in enumerate(dropped.rows))
+    assert packed in states
+    monkeypatch.setattr(
+        kohnert.crystal, "closure_states", lambda rows: (w, tuple(s for s in states if s != packed))
+    )
+    code, out, err = run_cli(capsys, "crystal", "--kind", "lock", "--comp", "1,0,2,1")
+    assert (code, out) == (3, "")
+    assert err == (f"internal fault: raised lock diagram {dropped.cells} is not in the "
+                   f"Kohnert closure of {a}\n")
 
 
 @pytest.mark.parametrize("fmt", ["ascii", "json"])

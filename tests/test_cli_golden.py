@@ -1,7 +1,8 @@
 """Golden stdout of every CLI command, as SHA-256 digests.
 
 Each case runs ``kohnert`` in process and digests its stdout; ``crystal``
-cases also digest the ``--dot`` and ``--json`` files they write.  Any change
+cases with ``--dot`` and ``--json`` also digest the files they write, and
+those without pin the counts that need no graph.  Any change
 to a byte of output fails here.  After a deliberate output change, print the
 new table with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import kohnert.crystal as crystal
 import kohnert.tableaux as tableaux
 from kohnert.cli import main
 from kohnert.poly import polynomial
@@ -22,6 +24,7 @@ from kohnert.poly import polynomial
 from golden import LOCK_1021
 
 COMPOSITIONS = ("", "1,0,2,1", "0,2,3", "0,3,2", "1,0,3,0,3,2")
+COUNTED_COMPOSITIONS = ("0,3,2", "1,0,3,0,3,2")  # crystal without files, too
 
 
 def _cases():
@@ -34,6 +37,8 @@ def _cases():
                 yield ("poly", "--kind", kind, "--format", fmt, "--comp", comp)
         for kind in ("key", "lock"):
             yield ("crystal", "--kind", kind, "--dot", "{dot}", "--json", "{json}", "--comp", comp)
+            if comp in COUNTED_COMPOSITIONS:
+                yield ("crystal", "--kind", kind, "--comp", comp)
         yield ("map", "--comp", comp)
         yield ("map", "--format", "json", "--comp", comp)
         yield ("map", "--all", "--format", "json", "--comp", comp)
@@ -127,7 +132,9 @@ GOLDEN = {
     'poly --kind lock --format text --comp 0,3,2': '59c894dbd7e745dd494d91b8005ea9984d96558d80f25c74197b154cb042f0b6',
     'poly --kind lock --format json --comp 0,3,2': '3dca381e545a14636d9f8d56ec1c319fbed40fabddc3d29ebb534a80f56b4221',
     'crystal --kind key --dot {dot} --json {json} --comp 0,3,2': 'ebb790bc00aae4328e72a2812ad923d1f64298d9198bba93be3ec0e33a7b3c85',
+    'crystal --kind key --comp 0,3,2': '068c00facc50bc926ce24dbe5eb56430c8dfac7917a1f4298f5a14c5cfff2106',
     'crystal --kind lock --dot {dot} --json {json} --comp 0,3,2': '2905b7fce0cd259d0e2537dcd8079c933f1a9e23416639fbc84a228ead1d9b15',
+    'crystal --kind lock --comp 0,3,2': '068c00facc50bc926ce24dbe5eb56430c8dfac7917a1f4298f5a14c5cfff2106',
     'map --comp 0,3,2': '006b56e7e6da369ebd566f11daa63e9b881de2795df6e883c834c0bc1ce5122f',
     'map --format json --comp 0,3,2': '708c7325ab7a8e34b73ed63baf5248f533515d16d43cc4b316c86b1ae95d5721',
     'map --all --format json --comp 0,3,2': '48089a47f2ecfc713853c671705b6d66d300f8fb5653fa58b726cf7eba2df72d',
@@ -144,7 +151,9 @@ GOLDEN = {
     'poly --kind lock --format text --comp 1,0,3,0,3,2': 'f4ae9c68a4dc07791416ca54b9a627ec36fcf836ceaf83072c5d757148cb4528',
     'poly --kind lock --format json --comp 1,0,3,0,3,2': '25c5b2e45b1e12e418de8d467a6eabff50fdbea6b3d92e682068a0f2b39e388d',
     'crystal --kind key --dot {dot} --json {json} --comp 1,0,3,0,3,2': '5c46439ed7a344fcad1561c6a40aa475315eced5d57ee281a9011bb13fafcc29',
+    'crystal --kind key --comp 1,0,3,0,3,2': '91c8eecf2f91303137f8a6c7a6c86245d6e426dae1f3a800c4c33de352ebfceb',
     'crystal --kind lock --dot {dot} --json {json} --comp 1,0,3,0,3,2': 'babc6a198a296e7030c5e52e70affc72a58e674f0e24fc67d9af5cadde8bbecb',
+    'crystal --kind lock --comp 1,0,3,0,3,2': 'a41557b85eae890b8c1f4a68e177c2858c140425e0dd138edbb4df8dfedc45d0',
     'map --comp 1,0,3,0,3,2': '4b7146e8d4875707bbfe556fcece33b9886119647a9ff2943035a6fb4322821c',
     'map --format json --comp 1,0,3,0,3,2': '13a5af5066f9520c3c304ec428bdfdd23953e29c51b5d8c989682d157c3aec2e',
     'map --all --format json --comp 1,0,3,0,3,2': 'a6b8bd727f10810eba33dc34c701f401d4758cdf75b1b94cb09a4193cfe290dc',
@@ -173,6 +182,25 @@ def test_poly_digest_holds_with_no_labeling(case, tmp_path, monkeypatch):
     monkeypatch.setattr(tableaux, "label_lock", refuse)
     polynomial.cache_clear()
     tableaux.enumerate_tableaux.cache_clear()
+    assert digest(case, tmp_path) == GOLDEN[case_id(case)]
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case[:3] == ("crystal", "--kind", "lock") and len(case) == 5],
+    ids=case_id,
+)
+def test_crystal_digest_holds_with_no_labeling(case, tmp_path, monkeypatch):
+    """``crystal --kind lock`` without files counts the crystal on closure
+    states: with lock labeling made to fail and no cached enumeration or
+    crystal to answer for it, its bytes hold."""
+
+    def refuse(d, a):
+        raise AssertionError(f"crystal labeled {d.cells}")
+
+    monkeypatch.setattr(tableaux, "label_lock", refuse)
+    monkeypatch.setattr(crystal, "label_lock", refuse)
+    tableaux.enumerate_tableaux.cache_clear()
+    crystal.crystal_graph.cache_clear()
     assert digest(case, tmp_path) == GOLDEN[case_id(case)]
 
 

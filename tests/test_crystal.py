@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 
@@ -10,6 +11,7 @@ from kohnert import (
     Diagram,
     SweepRange,
     TheoremViolation,
+    crystal_counts,
     crystal_graph,
     enumerate_tableaux,
     family_closure,
@@ -298,6 +300,54 @@ def test_key_raising_to_a_diagram_with_no_labeling_is_a_theorem_violation(monkey
     message = f"raised key diagram {g.vertices[u].diagram.cells} lost its labeling for {a}"
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         raise_tableau(g.vertices[v], a, color, "key")
+
+
+# (0, 0, 3, 1, 2)'s lock crystal has two sources; (1, 0, 2, 0, 0) is padded
+COUNTED = [*SweepRange(4, 3).compositions(), *SPOT_COMPOSITIONS,
+           (), (0, 0), (1, 0, 2, 0, 0), (0, 0, 3, 1, 2)]
+
+
+@pytest.mark.parametrize("kind", ["key", "lock"])
+def test_counts_equal_the_graph_counts(kind):
+    for a in dict.fromkeys(COUNTED):
+        g = crystal_graph(a, kind)
+        assert crystal_counts(a, kind) == (len(g.vertices), len(g.edges)), (a, kind)
+
+
+def test_the_counted_lock_crystal_may_have_two_sources():
+    g = crystal_graph((0, 0, 3, 1, 2), "lock")
+    raisable = {v for _, v, _ in g.edges}
+    assert len(g.vertices) - len(raisable) == 2
+    assert crystal_counts((0, 0, 3, 1, 2), "lock") == (72, 133)
+
+
+def test_counting_refuses_what_the_graph_refuses():
+    for kind in ("kkt", "Key", ""):
+        with pytest.raises(ValueError, match="kind must be 'key' or 'lock'"):
+            crystal_counts((1, 0, 2, 1), kind)
+    for a in ([1, 2], (1, -1), (1, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="a weak composition is a tuple"):
+            crystal_counts(a, "lock")
+
+
+def test_a_changed_lock_stop_rule_changes_the_graph_and_the_counts(monkeypatch):
+    """Plant a wrong stop rule, one that also stops for a larger label to the
+    right: the graph and the counts both run the one rule, so both change."""
+    source = inspect.getsource(crystal._lock_stops)
+    mutated = source.replace("label(col) == moving", "label(col) >= moving")
+    assert mutated != source
+    a = (0, 3, 2)
+    compositions = list(SweepRange(4, 3).compositions())
+    before = {b: crystal_graph(b, "lock").edges for b in compositions}
+    counts = crystal_counts(a, "lock")
+    namespace = dict(vars(crystal))
+    exec(mutated, namespace)
+    monkeypatch.setattr(crystal, "_lock_stops", namespace["_lock_stops"])
+    assert crystal.crystal_graph.__wrapped__(a, "lock").edges != before[a]
+    assert crystal_counts(a, "lock") != counts
+    changed = [b for b in compositions
+               if crystal.crystal_graph.__wrapped__(b, "lock").edges != before[b]]
+    assert len(changed) == 66
 
 
 @pytest.mark.parametrize("a", [(1, 0, 2, 1), (1, 0, 2, 1, 0, 0)])
